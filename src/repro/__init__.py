@@ -23,17 +23,13 @@ the fleet batch-simulation service::
     metrics = simulate(app, QuetzalRuntime(), trace, schedule)
     print(f"{metrics.interesting_discarded_fraction:.1%} interesting inputs lost")
 
-Importing the same names from ``repro`` keeps working.  A handful of
-internal names historically re-exported here (engine and circuit
-internals such as ``IBOEngine`` or ``PowerMonitor``) are slated to leave
-the top level: they still resolve, but emit a :class:`DeprecationWarning`
-pointing at their home module.
+Importing the same names from ``repro`` keeps working.  Engine and
+circuit internals (``IBOEngine``, ``PowerMonitor``, ...) are not
+re-exported here: import them from their home modules.
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the paper-vs-
 measured record of every figure.
 """
-
-import warnings as _warnings
 
 from repro.core import (
     EnergyAwareSJF,
@@ -93,45 +89,13 @@ from repro.workload import (
 
 __version__ = "1.0.0"
 
-# Internal names kept importable from the top level for compatibility.
-# Accessing one emits a DeprecationWarning naming its home module; the
-# curated surface is repro.api.
-_DEPRECATED = {
-    "IBOEngine": ("repro.core.ibo", "IBOEngine"),
-    "PIDController": ("repro.core.pid", "PIDController"),
-    "end_to_end_service_time": ("repro.core.service_time", "end_to_end_service_time"),
-    "ExactServiceTimeEstimator": ("repro.core.service_time", "ExactServiceTimeEstimator"),
-    "HardwareServiceTimeEstimator": ("repro.core.service_time", "HardwareServiceTimeEstimator"),
-    "AverageServiceTimeEstimator": ("repro.core.service_time", "AverageServiceTimeEstimator"),
-    "ADC": ("repro.hardware.adc", "ADC"),
-    "Diode": ("repro.hardware.diode", "Diode"),
-    "PowerMonitor": ("repro.hardware.circuit", "PowerMonitor"),
-    "CheckpointModel": ("repro.device.checkpoint", "CheckpointModel"),
-}
-
 
 def __getattr__(name):
-    if name in _DEPRECATED:
-        module_name, attr = _DEPRECATED[name]
-        _warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated; it is internal "
-            f"and will leave the top level — import it from "
-            f"{module_name!r} (the supported surface is 'repro.api')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attr)
     if name in ("api", "fleet", "experiments"):
         import importlib
 
         return importlib.import_module(f"repro.{name}")
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
 
 
 __all__ = [
@@ -140,12 +104,6 @@ __all__ = [
     "EnergyAwareSJF",
     "FCFSScheduler",
     "LCFSScheduler",
-    "IBOEngine",
-    "PIDController",
-    "end_to_end_service_time",
-    "ExactServiceTimeEstimator",
-    "HardwareServiceTimeEstimator",
-    "AverageServiceTimeEstimator",
     # policies
     "Policy",
     "NoAdaptPolicy",
@@ -160,11 +118,6 @@ __all__ = [
     "mcu_by_name",
     "Supercapacitor",
     "InputBuffer",
-    "CheckpointModel",
-    # hardware
-    "PowerMonitor",
-    "Diode",
-    "ADC",
     # environment
     "Event",
     "EventSchedule",

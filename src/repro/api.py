@@ -39,9 +39,8 @@ Everything exported here — and exactly this list, pinned by
 Anything importable from deeper modules but absent here (engine
 internals, hardware circuit models, estimator classes, cursors, ...) is
 considered internal: usable, but subject to change without a deprecation
-cycle.  Top-level ``repro`` re-exports remain for compatibility; names
-slated to move now warn there and should be imported from their home
-modules instead.
+cycle.  Top-level ``repro`` re-exports the public subset of these names
+for convenience; internals are imported from their home modules.
 """
 
 from repro import __version__

@@ -3,8 +3,7 @@
 ``python -m repro.experiments``, ``python -m repro.fleet``, and
 ``python -m repro.serve`` expose the same execution knobs, and they must
 mean the same thing on all three.  This module is the single source of
-that flag group (it used to live in :mod:`repro.experiments.cli`, which
-now re-exports these names with a :class:`DeprecationWarning`):
+that flag group:
 
 * ``--jobs N`` — worker processes (``0`` = one per CPU, matching
   ``BENCH_JOBS`` and :func:`repro.experiments.runner.resolve_jobs`);
@@ -24,8 +23,15 @@ now re-exports these names with a :class:`DeprecationWarning`):
 * ``--metrics-out PREFIX`` — write a :class:`~repro.obs.MetricsRegistry`
   projection of the run as ``PREFIX.prom`` + ``PREFIX.json``.
 
-``tests/test_cli_flags.py`` pins that all three parsers accept exactly
-this core set, so the CLIs cannot drift apart again.
+It also owns the fleet-spec flag group (:data:`SPEC_FLAGS`: ``--devices
+--seed --name --events --policies --environments --mcus --cells
+--buffer``) that ``python -m repro.fleet`` and ``python -m repro.trace
+store build`` both turn into a :class:`~repro.fleet.spec.FleetSpec`
+through :func:`spec_from_args`.
+
+``tests/test_cli_flags.py`` pins that the parsers accept exactly these
+sets with identical types and defaults, so the CLIs cannot drift apart
+again.
 """
 
 from __future__ import annotations
@@ -40,10 +46,13 @@ from repro.experiments.runner import resolve_jobs
 
 __all__ = [
     "CORE_FLAGS",
+    "SPEC_FLAGS",
     "add_core_flags",
     "add_execution_flags",
+    "add_spec_flags",
     "jobs_from_args",
     "profiled",
+    "spec_from_args",
 ]
 
 #: The option strings every repro CLI must accept — the drift-proof
@@ -55,6 +64,19 @@ CORE_FLAGS = frozenset({
     "--kernel",
     "--trace-store",
     "--metrics-out",
+})
+
+#: The fleet-spec shaping flags of :func:`add_spec_flags`.
+SPEC_FLAGS = frozenset({
+    "--devices",
+    "--seed",
+    "--name",
+    "--events",
+    "--policies",
+    "--environments",
+    "--mcus",
+    "--cells",
+    "--buffer",
 })
 
 
@@ -125,6 +147,60 @@ def add_core_flags(parser: argparse.ArgumentParser) -> None:
         metavar="PREFIX",
         help="write the run's metrics registry as PREFIX.prom "
         "(Prometheus text) plus PREFIX.json",
+    )
+
+
+def _csv(text: str) -> tuple:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _int_csv(text: str) -> tuple:
+    return tuple(int(item) for item in _csv(text))
+
+
+def add_spec_flags(
+    parser: argparse.ArgumentParser, *, devices_required: bool = False
+) -> None:
+    """Install the fleet-spec shaping flags (:data:`SPEC_FLAGS`).
+
+    ``devices_required`` is for CLIs with no other way to name the fleet
+    (the fleet CLI can load a whole spec with ``--spec`` instead).
+    """
+    parser.add_argument("--devices", type=int, default=None,
+                        required=devices_required, metavar="N",
+                        help="fleet size")
+    parser.add_argument("--seed", type=int, default=0, help="fleet seed")
+    parser.add_argument("--name", type=str, default="fleet", help="fleet label")
+    parser.add_argument("--events", type=int, default=50, metavar="N",
+                        help="events per device schedule (default 50)")
+    parser.add_argument("--policies", type=_csv, default=None, metavar="CSV",
+                        help="policy mix, e.g. QZ,NA,TH50 (standard-grid names)")
+    parser.add_argument("--environments", type=_csv, default=None, metavar="CSV",
+                        help='environment mix, e.g. "crowded,less crowded"')
+    parser.add_argument("--mcus", type=_csv, default=None, metavar="CSV",
+                        help="MCU mix, e.g. apollo4,msp430")
+    parser.add_argument("--cells", type=_int_csv, default=None, metavar="CSV",
+                        help="harvester cell-count mix, e.g. 4,6,8")
+    parser.add_argument("--buffer", type=int, default=10, metavar="N",
+                        help="input-buffer capacity (0 = unbounded Ideal buffer)")
+
+
+def spec_from_args(args: argparse.Namespace):
+    """The :class:`~repro.fleet.spec.FleetSpec` the spec flags describe."""
+    from repro.fleet.spec import FleetSpec
+
+    mixes = {
+        key: getattr(args, key)
+        for key in ("policies", "environments", "mcus", "cells")
+        if getattr(args, key) is not None
+    }
+    return FleetSpec(
+        devices=args.devices,
+        seed=args.seed,
+        name=args.name,
+        n_events=args.events,
+        buffer_capacity=None if args.buffer == 0 else args.buffer,
+        **mixes,
     )
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.compat import keyword_only
 from repro.device.mcu import APOLLO4, MSP430FR5994, MCUProfile
 from repro.device.storage import Supercapacitor
 from repro.env.activity import MSP430_ENVIRONMENT, SensingEnvironment, environment_by_name
@@ -57,13 +56,12 @@ _SOLAR_KEY_TEMPLATES: dict = {}
 _SCHEDULE_KEY_TEMPLATES: dict = {}
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One fully resolved experiment setup.
 
-    Construct with keyword arguments (positional construction is
-    deprecated) and derive variants with ``replace(**overrides)``, so
+    Construct with keyword arguments (positional construction raises
+    ``TypeError``) and derive variants with ``replace(**overrides)``, so
     per-device fleet overrides never depend on field order.
 
     Attributes
@@ -98,6 +96,10 @@ class ExperimentConfig:
     schedule_seed: int = 10
     sim_seed: int = 100
     drain_timeout_s: float = 3600.0
+
+    def replace(self, **overrides) -> ExperimentConfig:
+        """A copy with the given fields overridden (keyword-only)."""
+        return replace(self, **overrides)
 
     def __post_init__(self) -> None:
         if self.environment is None:

@@ -417,18 +417,3 @@ class ExperimentRunner:
             )
 
         return map_indexed(run_one, len(specs), self.jobs)
-
-    def map_shards(
-        self,
-        worker: Callable[[int], object],
-        count: int,
-        on_result: Callable[[int, object], None] | None = None,
-    ) -> list:
-        """Fan ``worker`` over ``count`` shard indices with this runner's jobs.
-
-        The fleet service's entry into the fan-out: ``worker`` closes over
-        the fleet spec (inherited by fork) and returns one picklable shard
-        rollup; ``on_result`` journals each shard the moment it completes
-        (in completion order, not index order).
-        """
-        return map_indexed(worker, count, self.jobs, on_result=on_result)

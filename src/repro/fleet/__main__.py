@@ -15,7 +15,7 @@ Shares ``--jobs`` / ``--profile`` / ``--profile-dir`` / ``--kernel`` /
 helper: :mod:`repro.cli`); ``--jobs 0`` is one worker per CPU and
 ``BENCH_JOBS`` sets the default.  Results are bit-identical at any
 ``--shards``/``--jobs`` setting, and a ``--resume`` after a kill matches
-an uninterrupted run exactly (``make fleet-smoke`` checks this).
+an uninterrupted run exactly (``make invariance`` checks this).
 
 Instead of spelling the fleet out in flags, ``--spec spec.json`` loads a
 versioned :meth:`FleetSpec.to_json` file — the same codec the serve
@@ -32,18 +32,16 @@ import json
 import sys
 import time
 
-from repro.cli import add_core_flags, jobs_from_args, profiled
+from repro.cli import (
+    add_core_flags,
+    add_spec_flags,
+    jobs_from_args,
+    profiled,
+    spec_from_args,
+)
 from repro.errors import ConfigurationError, TraceError
 from repro.fleet.service import run_fleet
 from repro.fleet.spec import FleetSpec
-
-
-def _csv(text: str) -> tuple:
-    return tuple(item.strip() for item in text.split(",") if item.strip())
-
-
-def _int_csv(text: str) -> tuple:
-    return tuple(int(item) for item in _csv(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch-simulate a fleet of heterogeneous energy-harvesting "
         "devices with streaming rollups and checkpoint/resume.",
     )
-    parser.add_argument("--devices", type=int, default=None, metavar="N",
-                        help="fleet size (or load the whole spec via --spec)")
+    add_spec_flags(parser)
     parser.add_argument("--spec", type=str, default=None, metavar="PATH",
                         help="load the fleet spec from a versioned JSON file "
                         "(FleetSpec.to_json); mutually exclusive with the "
@@ -62,20 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=1, metavar="K",
                         help="work units the fleet is split into (default 1; "
                         "results are shard-invariant)")
-    parser.add_argument("--seed", type=int, default=0, help="fleet seed")
-    parser.add_argument("--name", type=str, default="fleet", help="fleet label")
-    parser.add_argument("--events", type=int, default=50, metavar="N",
-                        help="events per device schedule (default 50)")
-    parser.add_argument("--policies", type=_csv, default=None, metavar="CSV",
-                        help="policy mix, e.g. QZ,NA,TH50 (standard-grid names)")
-    parser.add_argument("--environments", type=_csv, default=None, metavar="CSV",
-                        help='environment mix, e.g. "crowded,less crowded"')
-    parser.add_argument("--mcus", type=_csv, default=None, metavar="CSV",
-                        help="MCU mix, e.g. apollo4,msp430")
-    parser.add_argument("--cells", type=_int_csv, default=None, metavar="CSV",
-                        help="harvester cell-count mix, e.g. 4,6,8")
-    parser.add_argument("--buffer", type=int, default=10, metavar="N",
-                        help="input-buffer capacity (0 = unbounded Ideal buffer)")
     parser.add_argument("--kernel-stats", action="store_true",
                         help="print the vector kernel's per-phase timing "
                         "breakdown (setup / CTRL / ADV / RECHG / fallback) "
@@ -119,24 +102,7 @@ def _spec_from_args(args, parser) -> FleetSpec:
             return FleetSpec.from_json(handle.read())
     if args.devices is None:
         parser.error("either --devices or --spec is required")
-    overrides = {
-        key: value
-        for key, value in (
-            ("policies", args.policies),
-            ("environments", args.environments),
-            ("mcus", args.mcus),
-            ("cells", args.cells),
-        )
-        if value is not None
-    }
-    return FleetSpec(
-        devices=args.devices,
-        seed=args.seed,
-        name=args.name,
-        n_events=args.events,
-        buffer_capacity=None if args.buffer == 0 else args.buffer,
-        **overrides,
-    )
+    return spec_from_args(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,9 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
-from repro.compat import keyword_only
 from repro.device.mcu import mcu_by_name
 from repro.env.activity import environment_by_name
 from repro.errors import ConfigurationError
@@ -62,8 +61,7 @@ def shard_ranges(devices: int, shards: int) -> list[range]:
     return ranges
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FleetSpec:
     """A deterministic population of heterogeneous devices.
 
@@ -107,6 +105,10 @@ class FleetSpec:
     capture_period_s: float = 1.0
     buffer_capacity: int | None = 10
     drain_timeout_s: float = 3600.0
+
+    def replace(self, **overrides) -> FleetSpec:
+        """A copy with the given fields overridden (keyword-only)."""
+        return replace(self, **overrides)
 
     def __post_init__(self) -> None:
         for field_name in ("policies", "environments", "mcus", "cells"):

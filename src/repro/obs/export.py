@@ -3,8 +3,8 @@
 Two formats, one event model:
 
 * **JSONL** — one ``TraceEvent.as_dict()`` object per line, the
-  machine-diffable archival form (and what the obs-smoke gate
-  validates).
+  machine-diffable archival form (and what the invariance-matrix
+  gate validates).
 * **Chrome trace-event JSON** — the ``{"traceEvents": [...]}`` object
   format that Perfetto and ``chrome://tracing`` load directly.  Each
   device becomes a process, each event kind a named thread within it,
@@ -115,7 +115,7 @@ def read_jsonl(path: str) -> list[TraceEvent]:
 
 
 # ---------------------------------------------------------------------------
-# Schema checks (the `make obs-smoke` gate).
+# Schema checks (used by the `make invariance` gate).
 # ---------------------------------------------------------------------------
 
 def validate_jsonl_events(rows: Iterable[dict]) -> list[str]:

@@ -27,6 +27,7 @@ import json
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
     "REQUEST_OPS",
     "decode_line",
@@ -39,6 +40,10 @@ __all__ = [
 #: removed or a field changes meaning; servers reject versions they do
 #: not speak.
 PROTOCOL_VERSION = 1
+
+#: Longest request line a server reads.  A longer line is answered with
+#: a protocol error and the connection is closed.
+MAX_LINE_BYTES = 64 * 1024
 
 #: Operations a conforming server accepts.
 REQUEST_OPS = frozenset({

@@ -40,9 +40,8 @@ import asyncio
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.compat import keyword_only
 from repro.errors import ConfigurationError
 from repro.fleet.checkpoint import FleetCheckpoint
 from repro.fleet.service import run_fleet
@@ -57,8 +56,7 @@ __all__ = ["ServeConfig", "FleetServer", "ServerHandle", "start_background"]
 _KERNELS = ("auto", "scalar", "vector")
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ServeConfig:
     """How a :class:`FleetServer` listens, executes, and persists.
 
@@ -79,6 +77,10 @@ class ServeConfig:
     kernel: str = "auto"
     telemetry_every: float = 0.0
     trace_store: str | None = None  # default: data_dir/store
+
+    def replace(self, **overrides) -> ServeConfig:
+        """A copy with the given fields overridden (keyword-only)."""
+        return replace(self, **overrides)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -175,7 +177,8 @@ class FleetServer:
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection, self.config.host, self.config.port,
+            limit=protocol.MAX_LINE_BYTES,
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
 
@@ -200,7 +203,13 @@ class FleetServer:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran MAX_LINE_BYTES
+                    await self._send(writer, protocol.error_response(
+                        f"request line exceeds {protocol.MAX_LINE_BYTES} bytes"
+                    ))
+                    break
                 if not line:
                     break
                 try:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.compat import keyword_only
 from repro.device.buffer import BufferedInput, InputBuffer, _input_ids
 from repro.device.checkpoint import CheckpointModel
 from repro.device.mcu import APOLLO4, MCUProfile
@@ -60,13 +59,12 @@ class _RunEnded(Exception):
     """Internal control flow: the hard end of the simulation was reached."""
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     """Engine parameters independent of device/workload/policy.
 
-    Construct with keyword arguments (positional construction is
-    deprecated) and derive variants with ``replace(**overrides)``.
+    Construct with keyword arguments (positional construction raises
+    ``TypeError``) and derive variants with ``replace(**overrides)``.
 
     Attributes
     ----------
@@ -103,6 +101,10 @@ class SimulationConfig:
     seed: int = 0
     cost_jitter_sigma: float = 0.0
     fast_paths: bool = True
+
+    def replace(self, **overrides) -> SimulationConfig:
+        """A copy with the given fields overridden (keyword-only)."""
+        return replace(self, **overrides)
 
     def __post_init__(self) -> None:
         if self.capture_period_s <= 0:

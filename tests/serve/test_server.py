@@ -177,6 +177,26 @@ class TestProtocolOverTheWire:
         assert response["ok"] is False
         assert "bogus_field" in response["error"]
 
+    def test_oversized_request_line_is_a_clean_error(self, server):
+        import socket
+
+        from repro.serve import protocol
+
+        padding = "x" * (protocol.MAX_LINE_BYTES + 6000)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(protocol.encode({
+                "schema_version": protocol.PROTOCOL_VERSION,
+                "op": "ping", "padding": padding,
+            }))
+            stream = sock.makefile("rb")
+            response = protocol.decode_line(stream.readline())
+            assert stream.readline() == b""  # then the server hangs up
+        assert response["ok"] is False
+        assert str(protocol.MAX_LINE_BYTES) in response["error"]
+        # The server itself keeps serving.
+        with FleetClient(port=server.port) as client:
+            assert client.ping()["ok"]
+
     def test_unknown_result_errors(self, server):
         with FleetClient(port=server.port) as client:
             response = client.result("a" * 64, wait=False)

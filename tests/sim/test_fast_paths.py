@@ -16,10 +16,25 @@ The only fields excluded from the contract are the decision-path *work
 counters* (``decision_cache_hits`` etc.): they measure implementation
 effort, which by design differs between the cached and reference paths.
 ``test_decision_counters_*`` pins their required behaviour instead.
+
+Both paths are also pinned to a golden corpus: the sha256 of the
+canonical ``json.dumps(asdict(RunMetrics), sort_keys=True)`` of every
+case, generated from the reference path and committed in
+``data/fast_paths_goldens.json``.  ``fast == reference`` alone cannot see
+a change that moves both paths together; the goldens catch semantics
+drift between commits.  After a deliberate semantics change, rewrite
+them from the reference path with::
+
+    PYTHONPATH=src python tests/sim/test_fast_paths.py
 """
 
 import dataclasses
+import hashlib
+import json
+import platform
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.runtime import QuetzalRuntime
@@ -70,55 +85,103 @@ POLICIES = {
 }
 
 
+#: Every case this suite compares: id -> (policy, trace, config overrides).
+CASES = {
+    **{f"metrics[{name}]": (name, "solar", {}) for name in sorted(POLICIES)},
+    **{
+        f"jitter[{sigma}-{name}]": (name, "solar", {"cost_jitter_sigma": sigma})
+        for sigma in (0.2, 0.7)
+        for name in ("noadapt", "quetzal")
+    },
+    "unbounded-buffer": ("quetzal", "solar", {"buffer_capacity": None}),
+    "dense-trace": ("noadapt", "dense", {}),
+}
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "fast_paths_goldens.json"
+
+
 def run_one(policy_factory, trace, schedule, *, fast, **config_kwargs):
     config = SimulationConfig(seed=5, fast_paths=fast, **config_kwargs)
     return simulate(build_apollo_app(), policy_factory(), trace, schedule, config=config)
 
 
-def run_both(policy_factory, trace, schedule, **config_kwargs):
-    """One run per path; returns the two RunMetrics as plain dict trees.
+def metrics_tree(metrics) -> dict:
+    """``asdict(metrics)`` without the decision-path work counters.
 
-    Decision-path work counters are stripped — they describe the
-    implementation, not the simulation, and are pinned separately.
+    They describe the implementation, not the simulation, and are pinned
+    separately.
     """
-    out = []
-    for fast in (True, False):
-        metrics = run_one(policy_factory, trace, schedule, fast=fast, **config_kwargs)
-        tree = dataclasses.asdict(metrics)
-        for field in WORK_COUNTER_FIELDS:
-            tree.pop(field)
-        out.append(tree)
+    tree = dataclasses.asdict(metrics)
+    for field in WORK_COUNTER_FIELDS:
+        tree.pop(field)
+    return tree
+
+
+def tree_digest(tree: dict) -> str:
+    return hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
+
+
+def run_case(case, *, fast, traces):
+    policy_name, trace_name, config_kwargs = CASES[case]
+    return metrics_tree(run_one(
+        POLICIES[policy_name], traces[trace_name], traces["schedule"],
+        fast=fast, **config_kwargs,
+    ))
+
+
+@pytest.fixture(scope="module")
+def traces(solar_trace, dense_trace, schedule):
+    return {"solar": solar_trace, "dense": dense_trace, "schedule": schedule}
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def run_both(case, traces, goldens):
+    """One run per path, each pinned to the golden digest of ``case``.
+
+    Returns the two RunMetrics as plain dict trees (fast, reference).
+    """
+    out = [run_case(case, fast=fast, traces=traces) for fast in (True, False)]
+    expected = goldens["cases"][case]
+    for path, tree in zip(("fast", "reference"), out):
+        assert tree_digest(tree) == expected, (
+            f"{case}: {path} path drifted from the golden corpus "
+            f"(recorded on Python {goldens['python']}, numpy {goldens['numpy']})"
+        )
     return out
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-def test_bit_identical_metrics(policy_name, solar_trace, schedule):
-    fast, reference = run_both(POLICIES[policy_name], solar_trace, schedule)
+def test_bit_identical_metrics(policy_name, traces, goldens):
+    fast, reference = run_both(f"metrics[{policy_name}]", traces, goldens)
     assert fast == reference
 
 
 @pytest.mark.parametrize("policy_name", ["noadapt", "quetzal"])
 @pytest.mark.parametrize("sigma", [0.2, 0.7])
-def test_bit_identical_with_cost_jitter(policy_name, sigma, solar_trace, schedule):
+def test_bit_identical_with_cost_jitter(policy_name, sigma, traces, goldens):
     """Jitter draws extra RNG per task; the streams must stay aligned."""
-    fast, reference = run_both(
-        POLICIES[policy_name], solar_trace, schedule, cost_jitter_sigma=sigma
-    )
+    fast, reference = run_both(f"jitter[{sigma}-{policy_name}]", traces, goldens)
     assert fast == reference
 
 
-def test_bit_identical_unbounded_buffer(solar_trace, schedule):
+def test_bit_identical_unbounded_buffer(traces, goldens):
     """The Ideal baseline: capacity=None exercises the no-IBO branches."""
-    fast, reference = run_both(
-        QuetzalRuntime, solar_trace, schedule, buffer_capacity=None
-    )
+    fast, reference = run_both("unbounded-buffer", traces, goldens)
     assert fast == reference
 
 
-def test_bit_identical_dense_trace(dense_trace, schedule):
+def test_bit_identical_dense_trace(traces, goldens):
     """Sub-second segments: many fused multi-segment steps per job."""
-    fast, reference = run_both(NoAdaptPolicy, dense_trace, schedule)
+    fast, reference = run_both("dense-trace", traces, goldens)
     assert fast == reference
+
+
+def test_goldens_cover_exactly_the_cases(goldens):
+    assert sorted(goldens["cases"]) == sorted(CASES)
 
 
 def test_fast_paths_default_on():
@@ -178,3 +241,29 @@ def test_decision_counters_surface_in_telemetry(solar_trace, schedule):
     d = stats.as_dict()
     assert d["decisions"] == stats.decisions
     assert 0.0 <= d["cache_hit_rate"] <= 1.0
+
+
+def write_goldens() -> None:
+    """Rewrite the golden file from the reference path."""
+    traces = {
+        "solar": SolarTraceGenerator(seed=1).generate(),
+        "dense": SolarTraceGenerator(
+            SolarTraceConfig(sample_period_s=0.05), seed=1
+        ).generate(),
+        "schedule": CROWDED.schedule(40, seed=2),
+    }
+    payload = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cases": {
+            case: tree_digest(run_case(case, fast=False, traces=traces))
+            for case in CASES
+        },
+    }
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(payload['cases'])} goldens -> {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    write_goldens()

@@ -1,9 +1,10 @@
-"""The curated ``repro.api`` surface and the top-level deprecation shims.
+"""The curated ``repro.api`` surface and the retired compatibility shims.
 
 ``repro.api.__all__`` is the supported contract — this snapshot pins it
 so any addition or removal is a deliberate, reviewed change.  The old
-top-level re-exports of internal names must keep resolving, but through
-``DeprecationWarning`` shims.
+top-level re-exports of internal names and the ``repro.experiments.cli``
+alias of :mod:`repro.cli` served their one release of deprecation and
+are gone; these tests pin that they stay gone.
 """
 
 import warnings
@@ -71,7 +72,7 @@ API_SNAPSHOT = sorted([
     "__version__",
 ])
 
-DEPRECATED_TOP_LEVEL = {
+RETIRED_TOP_LEVEL = {
     "IBOEngine": "repro.core.ibo",
     "PIDController": "repro.core.pid",
     "end_to_end_service_time": "repro.core.service_time",
@@ -117,19 +118,18 @@ class TestApiFacade:
 
 
 class TestTopLevelShims:
-    @pytest.mark.parametrize("name", sorted(DEPRECATED_TOP_LEVEL))
-    def test_deprecated_name_warns_but_resolves(self, name):
-        with pytest.warns(DeprecationWarning, match=DEPRECATED_TOP_LEVEL[name]):
-            obj = getattr(repro, name)
-        # The shim hands back the real object, not a copy.
+    @pytest.mark.parametrize("name", sorted(RETIRED_TOP_LEVEL))
+    def test_retired_name_is_gone(self, name):
+        with pytest.raises(AttributeError, match="no attribute"):
+            getattr(repro, name)
+        # Still importable from its home module.
         import importlib
 
-        home = importlib.import_module(DEPRECATED_TOP_LEVEL[name])
-        assert obj is getattr(home, name)
+        assert getattr(importlib.import_module(RETIRED_TOP_LEVEL[name]), name)
 
-    def test_deprecated_names_stay_in_all(self):
-        for name in DEPRECATED_TOP_LEVEL:
-            assert name in repro.__all__, name
+    def test_retired_names_left_all(self):
+        for name in RETIRED_TOP_LEVEL:
+            assert name not in repro.__all__, name
 
     def test_supported_names_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -151,29 +151,41 @@ class TestTopLevelShims:
         with pytest.raises(AttributeError, match="no attribute"):
             repro.definitely_not_a_name  # noqa: B018
 
-    def test_dir_covers_shimmed_names(self):
+    def test_dir_lists_supported_names_only(self):
         listing = dir(repro)
-        assert "IBOEngine" in listing
+        assert "IBOEngine" not in listing
         assert "simulate" in listing
 
 
+class TestRetiredModules:
+    @pytest.mark.parametrize("module", ["repro.compat", "repro.experiments.cli"])
+    def test_module_is_gone(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+
 class TestMovedCliHelpers:
-    """The flag helpers moved repro.experiments.cli -> repro.cli (PR 10)."""
+    """The flag helpers live only in repro.cli; the old alias module is gone."""
 
     MOVED = ["CORE_FLAGS", "add_core_flags", "add_execution_flags",
              "jobs_from_args", "profiled"]
 
     @pytest.mark.parametrize("name", MOVED)
-    def test_old_location_warns_but_resolves(self, name):
+    def test_name_lives_in_repro_cli(self, name):
+        import importlib
+
         import repro.cli
-        import repro.experiments.cli as old
 
-        with pytest.warns(DeprecationWarning, match="repro.cli"):
-            obj = getattr(old, name)
-        assert obj is getattr(repro.cli, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert getattr(repro.cli, name) is not None
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.experiments.cli")
 
-    def test_old_location_dir_covers_moved_names(self):
-        import repro.experiments.cli as old
+    def test_repro_cli_dir_covers_moved_names(self):
+        import repro.cli
 
         for name in self.MOVED:
-            assert name in dir(old), name
+            assert name in dir(repro.cli), name

@@ -5,22 +5,43 @@
 set — :data:`repro.cli.CORE_FLAGS` — with the same types and defaults.
 These flags drifted apart once (three hand-rolled ``--jobs`` copies);
 this test makes the drift a failure instead of a code review hazard.
+The same holds for the fleet-spec flag group
+(:data:`repro.cli.SPEC_FLAGS`) shared by ``python -m repro.fleet`` and
+``python -m repro.trace store build``.
 """
 
 import argparse
 
 import pytest
 
-from repro.cli import CORE_FLAGS, add_core_flags, jobs_from_args
+from repro.cli import CORE_FLAGS, SPEC_FLAGS, add_core_flags, jobs_from_args
 
 import repro.experiments.__main__ as experiments_main
 import repro.fleet.__main__ as fleet_main
 import repro.serve.__main__ as serve_main
+import repro.trace.__main__ as trace_main
 
 PARSERS = {
     "experiments": experiments_main.build_parser,
     "fleet": fleet_main.build_parser,
     "serve": serve_main.build_parser,
+}
+
+
+def subparser(parser: argparse.ArgumentParser, *path: str) -> argparse.ArgumentParser:
+    for name in path:
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        parser = action.choices[name]
+    return parser
+
+
+#: The parsers that turn the spec flags into a FleetSpec.
+SPEC_PARSERS = {
+    "fleet": fleet_main.build_parser,
+    "trace store build": lambda: subparser(
+        trace_main.build_parser(), "store", "build"
+    ),
 }
 
 
@@ -56,6 +77,39 @@ class TestCoreFlagUniformity:
         for name, build in PARSERS.items():
             assert tuple(action_for(build(), "--kernel").choices) == \
                 ("auto", "scalar", "vector"), name
+
+
+class TestSpecFlagUniformity:
+    @pytest.mark.parametrize("name", sorted(SPEC_PARSERS))
+    def test_parser_accepts_every_spec_flag(self, name):
+        missing = SPEC_FLAGS - option_strings(SPEC_PARSERS[name]())
+        assert not missing, f"{name} CLI is missing spec flags: {sorted(missing)}"
+
+    @pytest.mark.parametrize("flag", sorted(SPEC_FLAGS))
+    def test_flag_types_and_defaults_match(self, flag):
+        actions = {name: action_for(build(), flag)
+                   for name, build in SPEC_PARSERS.items()}
+        types = {name: a.type for name, a in actions.items()}
+        assert len(set(types.values())) == 1, types
+        defaults = {name: a.default for name, a in actions.items()}
+        assert len({repr(d) for d in defaults.values()}) == 1, defaults
+
+    def test_both_clis_build_the_same_spec(self):
+        flags = ["--devices", "6", "--seed", "4", "--name", "x", "--events",
+                 "7", "--policies", "NA,QZ", "--environments", "crowded",
+                 "--mcus", "apollo4", "--cells", "4,6", "--buffer", "0"]
+        from repro.cli import spec_from_args
+
+        fleet = spec_from_args(fleet_main.build_parser().parse_args(flags))
+        store = spec_from_args(
+            trace_main.build_parser().parse_args(["store", "build", "d", *flags])
+        )
+        assert fleet == store
+        assert fleet.buffer_capacity is None and fleet.cells == (4, 6)
+
+    def test_store_build_still_requires_devices(self):
+        with pytest.raises(SystemExit):
+            trace_main.build_parser().parse_args(["store", "build", "d"])
 
 
 class TestJobsResolution:

@@ -1,4 +1,4 @@
-"""Keyword-only config constructors: positional deprecation + replace()."""
+"""Keyword-only config constructors: positional ``TypeError`` + replace()."""
 
 import dataclasses
 
@@ -15,29 +15,22 @@ class TestKeywordOnlyConfigs:
         ExperimentConfig(name="x", environment=environment_by_name("crowded"))
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_positional_construction_warns_but_works(self):
-        # First declared field is capture_period_s.
-        with pytest.warns(DeprecationWarning, match="positional"):
-            config = SimulationConfig(2.5)
-        assert config.capture_period_s == 2.5
+    @pytest.mark.parametrize("cls", ["SimulationConfig", "ExperimentConfig",
+                                     "FleetSpec", "ServeConfig"])
+    def test_positional_construction_raises(self, cls):
+        import repro.api
 
-    def test_positional_maps_by_field_order(self):
-        fields = [f.name for f in dataclasses.fields(SimulationConfig)]
-        with pytest.warns(DeprecationWarning):
-            config = SimulationConfig(2.5, 7)
-        assert getattr(config, fields[0]) == 2.5
-        assert getattr(config, fields[1]) == 7
+        with pytest.raises(TypeError, match="positional"):
+            getattr(repro.api, cls)(2.5)
 
     def test_positional_and_keyword_duplicate_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                SimulationConfig(2.5, capture_period_s=4.0)
+        with pytest.raises(TypeError):
+            SimulationConfig(2.5, capture_period_s=4.0)
 
     def test_too_many_positionals_rejected(self):
         n_fields = len(dataclasses.fields(SimulationConfig))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="at most"):
-                SimulationConfig(*range(n_fields + 1))
+        with pytest.raises(TypeError):
+            SimulationConfig(*range(n_fields + 1))
 
     def test_replace_derives_variant(self):
         base = SimulationConfig(seed=3)
@@ -52,6 +45,14 @@ class TestKeywordOnlyConfigs:
         variant = base.replace(n_events=9)
         assert variant.n_events == 9
         assert variant.name == "grid"
+
+    def test_replace_on_fleet_and_serve_configs(self):
+        from repro.api import FleetSpec, ServeConfig
+
+        spec = FleetSpec(devices=4, seed=1).replace(seed=2)
+        assert (spec.devices, spec.seed) == (4, 2)
+        serve = ServeConfig(data_dir="d").replace(port=9)
+        assert (serve.data_dir, serve.port) == ("d", 9)
 
     def test_replace_rejects_unknown_field(self):
         with pytest.raises(TypeError):

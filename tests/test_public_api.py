@@ -12,14 +12,8 @@ class TestExports:
         assert repro.__version__ == "1.0.0"
 
     def test_all_names_resolve(self):
-        import warnings
-
-        # Deprecated names resolve through warning shims; the warning
-        # itself is asserted in tests/test_api_surface.py.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in repro.__all__:
-                assert hasattr(repro, name), name
+        for name in repro.__all__:
+            assert hasattr(repro, name), name
 
     def test_key_entry_points(self):
         assert callable(repro.simulate)
