@@ -1,6 +1,6 @@
 # Convenience targets for the Quetzal reproduction.
 
-.PHONY: install test lint bench bench-record bench-figures invariance figures figures-paper-scale examples clean
+.PHONY: install test lint bench profile-figures bench-record bench-figures invariance perfbench-check figures figures-paper-scale examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -42,6 +42,16 @@ bench-figures:
 # uploads them).
 invariance:
 	PYTHONPATH=src python benchmarks/invariance_matrix.py
+
+# Benchmark output checks: one seed-0 run of every perfbench workload,
+# failing if any run's output misses the digest recorded for it in
+# perfbench/expected.json.  Timings are printed, not gated.
+PERFBENCH_WORKLOADS = fleet_mixed fleet_vector serve_mixed figures
+
+perfbench-check:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 0 --seconds 10 --trace 0 || exit 1; \
+	done
 
 # Regenerate every table and figure at the default (fast) scale.
 figures:

@@ -11,7 +11,9 @@ Everything exported here — and exactly this list, pinned by
 ``tests/test_api_surface.py`` — is the stable, documented contract:
 
 * **single runs** — ``simulate`` / ``SimulationConfig`` / ``RunMetrics``
-  with a ``TelemetryRecorder`` for trajectories;
+  (the one record of the decision-path work counters), with a
+  ``TelemetryRecorder`` trace sink for trajectories
+  (``simulate(tracer=TelemetryRecorder())``);
 * **the systems under test** — ``QuetzalRuntime`` and every paper
   baseline behind the common ``Policy`` interface;
 * **workloads and worlds** — ``build_apollo_app`` / ``build_msp430_app``,

@@ -16,6 +16,7 @@ different :class:`~repro.core.scheduler.Scheduler` injected.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from repro.core.ibo import IBODecision, IBOEngine
 from repro.core.pid import PIDController
@@ -39,7 +40,6 @@ from repro.policies.base import (
     SchedulingContext,
     _make_decision,
 )
-from repro.sim.telemetry import DecisionPathStats
 from repro.workload.job import Job, JobSet
 
 __all__ = ["QuetzalRuntime"]
@@ -68,6 +68,34 @@ def _make_ibo(
     d["predicted_service_s"] = predicted_service_s
     d["degraded"] = degraded
     return ibo
+
+
+@dataclass
+class DecisionPathStats:
+    """Work counters for :class:`QuetzalRuntime`'s cached decision path.
+
+    All zero whenever the cached path is disabled.  They count
+    implementation work, not simulated behaviour: the engine copies the
+    five it reports (cache hits/misses, scored candidates, degradation
+    walks and walk steps) onto :class:`~repro.sim.metrics.RunMetrics` at
+    the end of a run, the one record of them downstream.
+
+    ``decisions`` counts Alg. 1 invocations and ``score_table_rebuilds``
+    the Eq.-1 score tables recomputed because the estimator state or a
+    probability window changed; a memo miss whose table was still valid
+    skips that cost, so ``cache_misses - score_table_rebuilds`` is the
+    work the table cache saved.  ``degradation_walks`` counts misses whose
+    IBO detection fired and ``degradation_walk_steps`` the options those
+    Alg. 2 walks stepped through.
+    """
+
+    decisions: int = 0
+    scored_candidates: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    score_table_rebuilds: int = 0
+    degradation_walks: int = 0
+    degradation_walk_steps: int = 0
 
 
 class _JobDecisionPlan:
@@ -209,8 +237,8 @@ class QuetzalRuntime(Policy):
         self._arr_window = None
         self._arr_period = 1.0
         #: Work counters for the fast decision path (harvested into
-        #: RunMetrics and telemetry at the end of a run); all-zero whenever
-        #: the cached path is disabled.
+        #: RunMetrics at the end of a run); all-zero whenever the cached
+        #: path is disabled.
         self.decision_stats = DecisionPathStats()
         #: Trace sink handed over by the engine (SimulationEngine(tracer=...))
         #: so PID corrections land in the same event stream.

@@ -134,7 +134,7 @@ def fig2a_processing_rate_dynamics(
         mcu=cfg.mcu,
         storage=cfg.build_storage(),
         config=cfg.build_sim_config(),
-        telemetry=telemetry,
+        tracer=telemetry,
     )
     engine.run()
 

@@ -7,9 +7,10 @@ A fleet checkpoint is a directory holding
 * ``shard-NNNNNN.json`` — one journal entry per *completed* shard with
   that shard's exact :class:`~repro.fleet.rollup.FleetRollup` state.
 
-Shard files are written atomically (temp file + ``os.replace``) as each
-shard completes, so a killed run leaves only whole entries behind plus at
-most nothing for in-flight shards.  On resume, entries that are missing,
+Shard files are written atomically
+(:func:`repro.atomic.atomic_write_json`) as each shard completes, so a
+killed run leaves only whole entries behind and nothing for in-flight
+shards.  On resume, entries that are missing,
 truncated, or from a different spec/shard-count are simply recomputed —
 and because per-device derivation is a pure function of the spec and
 rollup merging is exact, the resumed total is bit-identical to an
@@ -22,6 +23,7 @@ import glob
 import json
 import os
 
+from repro.atomic import atomic_write_json
 from repro.errors import ConfigurationError
 from repro.fleet.rollup import FleetRollup
 from repro.fleet.spec import FleetSpec
@@ -98,7 +100,7 @@ class FleetCheckpoint:
                     f"shards, this run asked for {self.shards}"
                 )
             return self._load_completed()
-        self._write_json(self.manifest_path, {
+        atomic_write_json(self.manifest_path, {
             "version": _VERSION,
             "fingerprint": self.fingerprint,
             "shards": self.shards,
@@ -114,7 +116,7 @@ class FleetCheckpoint:
 
     def write_shard(self, shard: int, rollup: FleetRollup) -> None:
         """Journal one completed shard atomically."""
-        self._write_json(self.shard_path(shard), {
+        atomic_write_json(self.shard_path(shard), {
             "version": _VERSION,
             "fingerprint": self.fingerprint,
             "shard": shard,
@@ -158,9 +160,3 @@ class FleetCheckpoint:
             if rollup is not None:
                 completed[shard] = rollup
         return completed
-
-    def _write_json(self, path: str, payload: dict) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp, path)

@@ -170,11 +170,6 @@ class KernelStats:
         out["kernel_s"] = self.kernel_s
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelStats":
-        names = {f.name for f in dataclass_fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
-
     def render(self) -> str:
         """Human-readable per-phase breakdown (the ``--kernel-stats`` view)."""
         total = self.setup_s + self.kernel_s + self.fallback_s

@@ -335,10 +335,7 @@ def run_fleet(
             spec, shards, pending[position], retries, kernel=kernel,
             stats=stats, tracer=local, trace_store=trace_store,
         )
-        payload = {
-            "rollup": rollup.to_dict(),
-            "kernel_stats": None if stats is None else stats.as_dict(),
-        }
+        payload = {"rollup": rollup.to_dict(), "kernel_stats": stats}
         if local is not None:
             payload["trace"] = [event.as_dict() for event in local.events()]
             payload["trace_dropped"] = local.dropped
@@ -356,11 +353,11 @@ def run_fleet(
         if heartbeat is not None:
             beat["shards_done"] += 1
             beat["devices_done"] += payload["rollup"]["devices"]
-            stats_dict = payload["kernel_stats"]
-            if stats_dict is not None:
+            stats = payload["kernel_stats"]
+            if stats is not None:
                 phases = beat["phase_seconds"] or {}
                 for key in ("setup_s", "ctrl_s", "adv_s", "rech_s", "fallback_s"):
-                    phases[key] = phases.get(key, 0.0) + stats_dict[key]
+                    phases[key] = phases.get(key, 0.0) + getattr(stats, key)
                 beat["phase_seconds"] = phases
             heartbeat.on_shard(
                 shards_done=beat["shards_done"],
@@ -374,12 +371,9 @@ def run_fleet(
     payloads = map_indexed(worker, len(pending), jobs, on_result=journal_result)
     computed = {}
     for shard, payload in zip(pending, payloads):
-        stats_dict = payload["kernel_stats"]
-        if stats_dict is not None:
-            from repro.fleet.kernel import KernelStats
-
-            stats_dict = KernelStats.from_dict(stats_dict)
-        computed[shard] = (FleetRollup.from_dict(payload["rollup"]), stats_dict)
+        computed[shard] = (
+            FleetRollup.from_dict(payload["rollup"]), payload["kernel_stats"]
+        )
         if trace is not None and "trace" in payload:
             # Fold each shard's window in shard order: the merged stream
             # is deterministic for any jobs setting.

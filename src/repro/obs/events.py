@@ -8,7 +8,9 @@ scalar run and of a vector-kernel lane read identically:
 ================  ==========================================================
 kind              meaning
 ================  ==========================================================
-``capture``       a sensor capture tick fired (payload: occupancy, active)
+``capture``       a sensor capture tick fired (payload: occupancy,
+                  energy_j, active, interesting; the scalar engine adds
+                  power_w and event, true while a sensing event is on)
 ``decision``      the policy scheduled a job (payload: job, option, flags)
 ``degradation``   a decision chose a degraded option (subset of decisions)
 ``ibo``           an input was dropped on buffer overflow

@@ -13,11 +13,11 @@ any grouping, the same discipline as
 point-in-time values and merge by summing (the only fleet gauges are
 additive populations).
 
-The ``*_registry`` builders are the registry-backed views over the
-existing telemetry islands: :class:`~repro.fleet.rollup.FleetRollup`,
-:class:`~repro.sim.telemetry.DecisionPathStats`, and
-:class:`~repro.fleet.kernel.KernelStats` project into one namespace
-without changing their own public dict shapes.
+The ``*_registry`` builders are registry-backed views: the
+:class:`~repro.fleet.rollup.FleetRollup` (which carries every
+:class:`~repro.sim.metrics.RunMetrics` counter, the decision-path work
+counters included) and :class:`~repro.fleet.kernel.KernelStats` project
+into one namespace, each fact under exactly one family name.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "fleet_registry",
     "serve_registry",
-    "decision_path_registry",
     "kernel_stats_registry",
 ]
 
@@ -374,8 +373,6 @@ def fleet_registry(rollup, kernel_stats=None) -> MetricsRegistry:
                 _rebin_256_to_buckets(dist.bins), dist.total, dist.count,
                 policy=policy,
             )
-    stats = rollup.overall.decision_path_totals()
-    registry.merge(decision_path_registry(stats))
     if kernel_stats is not None:
         registry.merge(kernel_stats_registry(kernel_stats))
     return registry
@@ -445,27 +442,6 @@ def serve_registry(stats: dict) -> MetricsRegistry:
     )
     for state, count in sorted(stats["jobs"].items()):
         jobs.set(count, state=state)
-    return registry
-
-
-def decision_path_registry(stats) -> MetricsRegistry:
-    """Registry view of :class:`~repro.sim.telemetry.DecisionPathStats`.
-
-    The underlying dataclass (and its ``as_dict`` shape) is unchanged;
-    this exposes the same counters under the registry namespace.
-    """
-    registry = MetricsRegistry()
-    # Namespaced ``repro_decision_path_`` (not ``repro_decision_``): the
-    # rollup already exports per-policy RunMetrics counters named
-    # ``decision_cache_hits`` etc., and the two must not collide.
-    for name in (
-        "decisions", "scored_candidates", "cache_hits", "cache_misses",
-        "score_table_rebuilds", "degradation_walks", "degradation_walk_steps",
-    ):
-        registry.counter(
-            f"repro_decision_path_{name}_total",
-            f"Decision-path work counter: {name}",
-        ).inc(getattr(stats, name))
     return registry
 
 

@@ -8,9 +8,10 @@ the spec therefore agree on the answer, and the second one returns the
 journaled bytes with zero recompute even if it asked for a different
 shard count or kernel.
 
-Entries are single JSON files written atomically (tmp + ``os.replace``,
-the checkpoint journal's pattern), storing the wire-encoded spec next to
-the rollup so an entry is self-describing and auditable::
+Entries are single JSON files written atomically (the checkpoint
+journal's :func:`~repro.atomic.atomic_write_json`), storing the
+wire-encoded spec next to the rollup so an entry is self-describing and
+auditable::
 
     <dir>/<fingerprint>.json
     {"cache_version": 1, "fingerprint": ..., "spec": {...to_wire...},
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
+from repro.atomic import atomic_write_json
 from repro.errors import ConfigurationError
 from repro.fleet.spec import FleetSpec
 
@@ -110,18 +111,7 @@ class ResultCache:
             "spec": spec.to_wire(),
             "rollup": rollup_dict,
         }
-        path = self._path(fingerprint)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        atomic_write_json(self._path(fingerprint), entry)
         return fingerprint
 
     # -- introspection -----------------------------------------------------------

@@ -87,7 +87,8 @@ class RunMetrics:
 
     # -- decision-path observability -----------------------------------------------------
     # Work counters from the policy's cached decision path (see
-    # repro.sim.telemetry.DecisionPathStats).  These measure implementation
+    # repro.core.runtime.DecisionPathStats); this is their one record
+    # downstream of the policy.  These measure implementation
     # effort, not simulated behaviour: they are the one part of RunMetrics
     # deliberately EXCLUDED from the fast-vs-reference bit-identical
     # contract (tests/sim/test_fast_paths.py strips them), and they stay
@@ -473,23 +474,6 @@ class MetricsRollup:
         if name in self.counters:
             return self.counters[name] / self.runs
         return float(self.sums[name] / self.runs)
-
-    def decision_path_totals(self):
-        """Fleet-total decision-path work counters.
-
-        Returns a :class:`~repro.sim.telemetry.DecisionPathStats` holding
-        the five counters RunMetrics surfaces (``decisions`` and
-        ``score_table_rebuilds`` are policy-side only and stay 0).
-        """
-        from repro.sim.telemetry import DecisionPathStats
-
-        return DecisionPathStats(
-            scored_candidates=self.counters["decision_scored_candidates"],
-            cache_hits=self.counters["decision_cache_hits"],
-            cache_misses=self.counters["decision_cache_misses"],
-            degradation_walks=self.counters["degradation_walks"],
-            degradation_walk_steps=self.counters["degradation_walk_steps"],
-        )
 
     def summary(self) -> dict:
         """Flat float summary (means, stds, and percentiles) for reporting."""

@@ -5,110 +5,27 @@ aggregates; understanding *why* a run behaved as it did — the story told
 by the paper's Figure 2a — needs the trajectories: buffer occupancy over
 time, stored energy, input power, and the quality decisions taken.
 
-:class:`TelemetryRecorder` is an optional engine attachment.  The engine
-calls it at every capture and every scheduling decision; samples are kept
-as parallel lists cheap enough to leave enabled for paper-scale runs.
+:class:`TelemetryRecorder` is a :class:`~repro.obs.TraceSink`: attach it
+as ``SimulationEngine(tracer=...)`` and it folds the engine's ``capture``
+and ``decision`` events into samples, kept as lists cheap enough to leave
+enabled for paper-scale runs.  Decision-path work counters are not
+telemetry: they live on :class:`~repro.sim.metrics.RunMetrics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.events import TraceEvent
 
 __all__ = [
     "BufferSample",
     "DecisionSample",
-    "DecisionPathStats",
     "TelemetryRecorder",
     "ShardSample",
     "FleetRecorder",
 ]
-
-
-@dataclass
-class DecisionPathStats:
-    """Work counters for the scheduler's cached decision path.
-
-    Maintained by :class:`~repro.core.runtime.QuetzalRuntime` when its fast
-    decision path is enabled (mirroring ``SimulationConfig(fast_paths=...)``)
-    and surfaced through :class:`TelemetryRecorder` and
-    :class:`~repro.sim.metrics.RunMetrics`.  These count *implementation
-    work*, not simulated behaviour: a run with a 99% cache-hit rate and one
-    with caching disabled produce bit-identical simulation results — these
-    counters are how the difference in decision cost is observed.
-
-    Attributes
-    ----------
-    decisions:
-        Scheduling decisions made (Alg. 1 invocations on the fast path).
-    scored_candidates:
-        Candidate jobs scored across all decisions; each candidate is
-        scored exactly once per decision, so this is the Σ of per-decision
-        candidate counts.
-    cache_hits / cache_misses:
-        Outcomes of the per-job decision memo, keyed on (estimator state,
-        probability epoch, λ, free buffer space, PID correction).  A hit
-        reuses a complete Alg.-2 evaluation (Eq.-1 scoring + IBO detection
-        + degradation walk) without recomputing anything.
-    score_table_rebuilds:
-        Times a job's Eq.-1 score table (per-option S_e2e vector + the
-        non-degradable E[S] sum + execution probabilities) had to be
-        recomputed because the estimator state or a probability window
-        changed.  Decision-memo misses whose score table was still valid
-        (e.g. only the PID correction moved) skip this cost — the gap
-        between ``cache_misses`` and ``score_table_rebuilds`` is work the
-        Eq.-1 table cache saved.
-    degradation_walks:
-        Cache misses whose IBO detection fired, requiring a reaction walk.
-    degradation_walk_steps:
-        Total degradation options stepped across those walks (Alg. 2's
-        option-list traversal length, summed).
-    """
-
-    decisions: int = 0
-    scored_candidates: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    score_table_rebuilds: int = 0
-    degradation_walks: int = 0
-    degradation_walk_steps: int = 0
-
-    def hit_rate(self) -> float:
-        """Cache hits as a fraction of lookups (0 when never consulted)."""
-        lookups = self.cache_hits + self.cache_misses
-        if lookups == 0:
-            return 0.0
-        return self.cache_hits / lookups
-
-    def mean_walk_length(self) -> float:
-        """Mean degradation-walk length over walks taken (0 if none)."""
-        if self.degradation_walks == 0:
-            return 0.0
-        return self.degradation_walk_steps / self.degradation_walks
-
-    def accumulate(self, other: "DecisionPathStats") -> None:
-        """Add another run's counters in (used by fleet-level rollups)."""
-        self.decisions += other.decisions
-        self.scored_candidates += other.scored_candidates
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.score_table_rebuilds += other.score_table_rebuilds
-        self.degradation_walks += other.degradation_walks
-        self.degradation_walk_steps += other.degradation_walk_steps
-
-    def as_dict(self) -> dict:
-        return {
-            "decisions": self.decisions,
-            "scored_candidates": self.scored_candidates,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.hit_rate(),
-            "score_table_rebuilds": self.score_table_rebuilds,
-            "degradation_walks": self.degradation_walks,
-            "degradation_walk_steps": self.degradation_walk_steps,
-            "mean_walk_length": self.mean_walk_length(),
-        }
 
 
 @dataclass(frozen=True)
@@ -137,6 +54,10 @@ class DecisionSample:
 class TelemetryRecorder:
     """Collects per-capture and per-decision samples during a run.
 
+    A :class:`~repro.obs.TraceSink` (``SimulationEngine(tracer=...)``):
+    ``capture`` events become :class:`BufferSample` rows and ``decision``
+    events :class:`DecisionSample` rows; every other kind is ignored.
+
     Parameters
     ----------
     sample_every:
@@ -150,66 +71,41 @@ class TelemetryRecorder:
         self.sample_every = sample_every
         self.buffer_samples: list[BufferSample] = []
         self.decisions: list[DecisionSample] = []
-        #: End-of-run decision-path work counters (None until the engine
-        #: finalizes a run with a policy that exposes them).
-        self.decision_path: DecisionPathStats | None = None
         self._capture_count = 0
         # Occupancy aggregates run over *every* capture tick: sampling
         # thins the stored series only, never the statistics.
         self._occ_peak = 0
         self._occ_sum = 0
 
-    # -- engine hooks -----------------------------------------------------------
+    # -- TraceSink ------------------------------------------------------------------
 
-    def on_capture(
-        self,
-        t: float,
-        occupancy: int,
-        stored_energy_j: float,
-        input_power_w: float,
-        event_active: bool,
-    ) -> None:
-        self._capture_count += 1
-        if occupancy > self._occ_peak:
-            self._occ_peak = occupancy
-        self._occ_sum += occupancy
-        if (self._capture_count - 1) % self.sample_every:
-            return
-        self.buffer_samples.append(
-            BufferSample(t, occupancy, stored_energy_j, input_power_w, event_active)
-        )
-
-    def on_decision(
-        self,
-        t: float,
-        job_name: str,
-        option_name: str,
-        degraded: bool,
-        ibo_predicted: bool,
-        predicted_service_s: float | None,
-    ) -> None:
-        self.decisions.append(
-            DecisionSample(
-                t, job_name, option_name, degraded, ibo_predicted, predicted_service_s
-            )
-        )
-
-    def on_run_end(self, decision_path: DecisionPathStats | None) -> None:
-        """Snapshot the policy's decision-path counters at finalize time.
-
-        A *copy* is stored: the policy object may be reused for another
-        run, and a recorder must keep the counters of the run it watched.
-        """
-        self.decision_path = (
-            replace(decision_path) if decision_path is not None else None
-        )
+    def emit(self, event: TraceEvent) -> None:
+        kind = event.kind
+        data = event.data
+        if kind == "capture":
+            occupancy = data["occupancy"]
+            self._capture_count += 1
+            if occupancy > self._occ_peak:
+                self._occ_peak = occupancy
+            self._occ_sum += occupancy
+            if (self._capture_count - 1) % self.sample_every:
+                return
+            self.buffer_samples.append(BufferSample(
+                event.t, occupancy, data["energy_j"], data["power_w"],
+                data["event"],
+            ))
+        elif kind == "decision":
+            self.decisions.append(DecisionSample(
+                event.t, data["job"], data["option"], data["degraded"],
+                data["ibo_predicted"], data["predicted_service_s"],
+            ))
 
     # -- analysis helpers ----------------------------------------------------------
 
     def peak_occupancy(self) -> int:
         """Highest buffer occupancy observed at any capture tick.
 
-        Computed from every ``on_capture`` event, not the (possibly
+        Computed from every ``capture`` event, not the (possibly
         thinned) stored series — ``sample_every`` never changes it.
         """
         return self._occ_peak
@@ -360,9 +256,3 @@ class FleetRecorder:
     def resumed_shards(self) -> list[int]:
         """Shard ids restored from the checkpoint journal, in shard order."""
         return [s.shard for s in self.shard_samples if s.resumed]
-
-    def decision_path_totals(self):
-        """Fleet-total decision-path counters from the final rollup."""
-        if self.rollup is None:
-            return None
-        return self.rollup.overall.decision_path_totals()

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.atomic import atomic_write_json
 from repro.env.events import EventSchedule, EventScheduleGenerator
 from repro.errors import TraceError
 from repro.trace.power_trace import PiecewiseConstantTrace
@@ -201,12 +202,10 @@ class TraceStore:
 
     def save(self) -> None:
         """Atomically write the manifest (tmp + ``os.replace``)."""
-        path = os.path.join(self.directory, _MANIFEST)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        payload = {"version": _VERSION, "entries": self._entries}
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=None)
-        os.replace(tmp, path)
+        atomic_write_json(
+            os.path.join(self.directory, _MANIFEST),
+            {"version": _VERSION, "entries": self._entries},
+        )
         self._dirty = False
 
     # -- writing --------------------------------------------------------------

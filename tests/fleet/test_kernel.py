@@ -15,10 +15,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.harness import standard_policies
-from repro.experiments.runner import RunFailure, RunSpec, _attempt_spec
+from repro.experiments.runner import RunFailure
 from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.kernel import VECTOR_KERNEL_POLICIES, vector_shard_outcomes
 from repro.fleet.service import run_shard
+
+from tests.fleet.test_kernel_parity import scalar_outcome
 
 #: Heterogeneous mix: every vector-covered baseline plus Quetzal (which
 #: must fall back to the scalar engine), over three cell counts.
@@ -33,18 +35,6 @@ MIXED = dict(
 
 def mixed_spec(devices: int = 14) -> FleetSpec:
     return FleetSpec(devices=devices, **MIXED)
-
-
-def scalar_outcome(spec: FleetSpec, device: int):
-    """One device on the scalar reference engine (the oracle)."""
-    policy_name, config = spec.device_config(device)
-    return _attempt_spec(
-        RunSpec(policy=policy_name, seed=0, config=config),
-        standard_policies()[policy_name],
-        config.build_trace(),
-        config.build_schedule(),
-        0,
-    )
 
 
 class TestPolicyCoverage:

@@ -6,19 +6,30 @@ full-width ops) can slip through a fixed fixture while breaking some
 other policy/trace/MCU mix.  The sweep here draws small random
 :class:`FleetSpec`s from the whole configuration space (seeded, so
 failures replay) and asserts per-device ``RunMetrics`` equality against
-the scalar oracle for every one.
+the scalar oracle for every one.  The oracle's outcomes are themselves
+pinned to sha256 goldens in ``data/kernel_parity_goldens.json``, so a
+change that moves both engines together still fails; after a
+*deliberate* semantics change regenerate them with
+``PYTHONPATH=src python tests/fleet/test_kernel_parity.py``.
 
 Also covered: ``kernel="auto"`` resolution, and the per-phase
 :class:`KernelStats` telemetry (recorder exposure, rollup invariance).
 """
 
 import dataclasses
+import hashlib
+import json
+import pickle
+import platform
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.harness import standard_policies
+from repro.experiments.runner import RunSpec, _attempt_spec
 from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.kernel import (
     VECTOR_KERNEL_POLICIES,
@@ -27,8 +38,6 @@ from repro.fleet.kernel import (
 )
 from repro.fleet.service import resolve_kernel, run_shard
 
-from tests.fleet.test_kernel import scalar_outcome
-
 #: Draw pools for the randomized sweep.  Policies deliberately include
 #: Quetzal (scalar fallback) alongside every vector-covered family.
 POLICY_POOL = ("NA", "AD", "CN", "PZO", "PZI", "TH25", "TH50", "TH75", "QZ")
@@ -36,6 +45,30 @@ ENVIRONMENT_POOL = ("more crowded", "crowded", "less crowded")
 MCU_POOL = ("apollo4", "msp430")
 CELL_POOL = (2, 4, 6, 8)
 BUFFER_POOL = (None, 4, 10)
+
+
+#: Specs in the randomized sweep, each drawn from its own seeded stream.
+SWEEP = range(8)
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "kernel_parity_goldens.json"
+
+
+def scalar_outcome(spec: FleetSpec, device: int):
+    """One device on the scalar reference engine (the oracle)."""
+    policy_name, config = spec.device_config(device)
+    return _attempt_spec(
+        RunSpec(policy=policy_name, seed=0, config=config),
+        standard_policies()[policy_name],
+        config.build_trace(),
+        config.build_schedule(),
+        0,
+    )
+
+
+def outcomes_digest(outcomes) -> str:
+    """sha256 of the canonical JSON of a device-ordered outcome list."""
+    rows = [dataclasses.asdict(outcome) for outcome in outcomes]
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
 
 
 def draw_spec(rng: random.Random, index: int) -> FleetSpec:
@@ -58,29 +91,52 @@ def draw_spec(rng: random.Random, index: int) -> FleetSpec:
     )
 
 
+def sweep_spec(index: int) -> FleetSpec:
+    return draw_spec(random.Random(0xC0FFEE + index), index)
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
 class TestRandomizedParity:
-    @pytest.mark.parametrize("index", range(8))
-    def test_random_spec_matches_scalar_oracle(self, index):
-        rng = random.Random(0xC0FFEE + index)
-        spec = draw_spec(rng, index)
+    @pytest.mark.parametrize("index", SWEEP)
+    def test_random_spec_matches_scalar_oracle(self, index, goldens):
+        spec = sweep_spec(index)
         outcomes = vector_shard_outcomes(spec, range(spec.devices), retries=0)
+        expected = [scalar_outcome(spec, d) for d in range(spec.devices)]
         for device in range(spec.devices):
             policy_name, _ = spec.device_config(device)
-            expected = scalar_outcome(spec, device)
             got = outcomes[device]
-            assert dataclasses.asdict(got) == dataclasses.asdict(expected), (
+            assert dataclasses.asdict(got) == dataclasses.asdict(expected[device]), (
                 f"spec {spec.name} (seed {spec.seed}) device {device} "
                 f"({policy_name}) diverged from the scalar engine"
             )
+        golden = goldens["specs"][spec.name]
+        recorded = (
+            f"(recorded on Python {goldens['python']}, numpy {goldens['numpy']})"
+        )
+        assert outcomes_digest(expected) == golden, (
+            f"{spec.name}: scalar oracle drifted from the golden corpus {recorded}"
+        )
+        vector = [outcomes[d] for d in range(spec.devices)]
+        assert outcomes_digest(vector) == golden, (
+            f"{spec.name}: vector kernel drifted from the golden corpus {recorded}"
+        )
+
+    def test_goldens_cover_exactly_the_sweep(self, goldens):
+        assert sorted(goldens["specs"]) == sorted(
+            sweep_spec(index).name for index in SWEEP
+        )
 
     def test_sweep_exercises_vector_and_fallback_devices(self):
         # The sweep is only meaningful if its draws actually hit both
         # sides of the envelope; guard against pool edits silencing it.
         covered = VECTOR_KERNEL_POLICIES(standard_policies())
         seen = set()
-        for index in range(8):
-            rng = random.Random(0xC0FFEE + index)
-            spec = draw_spec(rng, index)
+        for index in SWEEP:
+            spec = sweep_spec(index)
             for device in range(spec.devices):
                 seen.add(spec.device_config(device)[0])
         assert seen & covered
@@ -173,8 +229,10 @@ class TestKernelStatsTelemetry:
         stats = KernelStats(lanes=10, scalar_lanes=2, batches=1,
                             iterations=123, ctrl_s=0.5, adv_s=1.0,
                             rech_s=0.25, lane_build_s=0.1, batch_init_s=0.05)
-        clone = KernelStats.from_dict(stats.as_dict())
-        assert clone.as_dict() == stats.as_dict()
+        # Shard workers hand the object itself back across the process
+        # boundary, so it must survive pickling intact.
+        clone = pickle.loads(pickle.dumps(stats))
+        assert clone == stats
         merged = KernelStats()
         merged.merge(stats)
         merged.merge(clone)
@@ -183,3 +241,25 @@ class TestKernelStatsTelemetry:
         text = stats.render()
         for token in ("CTRL", "ADV", "RECHG", "fallback", "setup"):
             assert token in text
+
+
+def write_goldens() -> None:
+    """Rewrite the golden file from the scalar oracle."""
+    specs = {}
+    for index in SWEEP:
+        spec = sweep_spec(index)
+        specs[spec.name] = outcomes_digest(
+            [scalar_outcome(spec, d) for d in range(spec.devices)]
+        )
+    payload = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "specs": specs,
+    }
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(specs)} goldens -> {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    write_goldens()

@@ -10,7 +10,6 @@ from repro.obs import MetricsRegistry, fleet_registry
 from repro.obs.metrics import (
     FRACTION_BUCKETS,
     _rebin_256_to_buckets,
-    decision_path_registry,
     kernel_stats_registry,
 )
 
@@ -192,6 +191,33 @@ class TestFleetRegistry:
             rollup.by_policy["QZ"].sums["prediction_error_s"]
         assert registry.to_prometheus()
 
+    def test_each_counter_family_is_one_rollup_field(self):
+        # Every counter family names exactly one RunMetrics counter and
+        # equals the rollup's per-policy sum of it; no fact is exported
+        # twice under two names (QZ makes the decision-path counters
+        # non-zero).
+        from repro.sim.metrics import _COUNTER_FIELDS
+
+        rollup = run_fleet(
+            small_fleet(policies=("NA", "QZ")), shards=2, jobs=1
+        ).rollup
+        assert rollup.by_policy["QZ"].counters["decision_scored_candidates"] > 0
+        fields = []
+        for family in fleet_registry(rollup).families():
+            if family.kind != "counter":
+                continue
+            name = family.name[len("repro_"):]
+            if name not in _COUNTER_FIELDS:
+                name = name[: -len("_total")]
+            assert name in _COUNTER_FIELDS, family.name
+            assert family.label_names == ("policy",), family.name
+            for policy, sub in rollup.by_policy.items():
+                assert family.value(policy=policy) == sub.counters[name], (
+                    family.name, policy,
+                )
+            fields.append(name)
+        assert sorted(fields) == sorted(_COUNTER_FIELDS)
+
     def test_registry_is_kernel_invariant(self):
         spec = small_fleet()
         scalar = fleet_registry(run_fleet(spec, shards=2, jobs=1,
@@ -203,16 +229,6 @@ class TestFleetRegistry:
 
 
 class TestTelemetryViews:
-    def test_decision_path_registry(self):
-        from repro.sim.telemetry import DecisionPathStats
-
-        stats = DecisionPathStats(decisions=4, cache_hits=3, cache_misses=1)
-        registry = decision_path_registry(stats)
-        assert registry.get("repro_decision_path_decisions_total").value() == 4
-        assert registry.get("repro_decision_path_cache_hits_total").value() == 3
-        # The dataclass's own dict shape is unchanged by the view.
-        assert stats.as_dict()["cache_hit_rate"] == 0.75
-
     def test_kernel_stats_registry(self):
         from repro.fleet.kernel import KernelStats
 

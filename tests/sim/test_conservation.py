@@ -145,7 +145,7 @@ def test_storage_bounds_throughout_run():
         square_wave_trace(0.2, 0.003, 25.0),
         generator.generate(10, seed=5),
         config=SimulationConfig(seed=6, drain_timeout_s=1500.0),
-        telemetry=telemetry,
+        tracer=telemetry,
     )
     engine.run()
     capacity = engine.storage.capacity_j

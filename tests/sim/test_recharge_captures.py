@@ -28,7 +28,7 @@ def run(trace_power_w, duration=60.0, capacity=10):
         config=SimulationConfig(
             seed=0, buffer_capacity=capacity, drain_timeout_s=4000.0
         ),
-        telemetry=telemetry,
+        tracer=telemetry,
     )
     metrics = engine.run()
     return metrics, telemetry

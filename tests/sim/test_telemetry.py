@@ -20,7 +20,7 @@ def run_with_telemetry(policy, trace, sample_every=1, duration=30.0, seed=0):
         trace,
         EventSchedule([Event(5.0, duration, True)], diff_probability=1.0),
         config=SimulationConfig(seed=seed, drain_timeout_s=500.0),
-        telemetry=telemetry,
+        tracer=telemetry,
     )
     metrics = engine.run()
     return telemetry, metrics
