@@ -75,11 +75,10 @@ CASES = {
 #: Fleet-scale case sizes.  The vector kernel's fixed per-iteration cost
 #: amortizes over the batch, so ``BENCH_FLEET_DEVICES`` must be in the
 #: thousands for the recorded speedup to be representative; the scalar
-#: and reference baselines are timed on leading subsets (their cost is
-#: linear in devices) and normalized per device.
+#: baseline is timed on a leading subset (its cost is linear in devices)
+#: and normalized per device.
 FLEET_DEVICES = int(os.environ.get("BENCH_FLEET_DEVICES", "8192"))
 FLEET_SCALAR_DEVICES = int(os.environ.get("BENCH_FLEET_SCALAR_DEVICES", "192"))
-FLEET_REFERENCE_DEVICES = int(os.environ.get("BENCH_FLEET_REFERENCE_DEVICES", "48"))
 
 #: The shrunken scale hosted CI runs the fleet case at (must match the
 #: ``BENCH_FLEET_*`` values in ``.github/workflows/ci.yml``).  The
@@ -90,7 +89,6 @@ FLEET_REFERENCE_DEVICES = int(os.environ.get("BENCH_FLEET_REFERENCE_DEVICES", "4
 #: gates against whichever recorded scale matches its own device count.
 FLEET_CI_DEVICES = 2048
 FLEET_CI_SCALAR_DEVICES = 48
-FLEET_CI_REFERENCE_DEVICES = 12
 
 #: ``--check`` gate for the fleet case: the measured ``speedup_vs_scalar``
 #: must retain at least this fraction of the committed baseline's at the
@@ -118,24 +116,20 @@ def run_fleet_scale_case(
     repeats: int = 2,
     devices: int | None = None,
     scalar_devices: int | None = None,
-    reference_devices: int | None = None,
 ) -> dict:
     """Shard throughput: the vector fleet kernel vs the per-device engine.
 
     Methodology matches the engine cases above — inputs (traces,
     schedules, apps) are prebuilt outside the timed region — so the
-    numbers isolate simulation throughput.  Three measurements:
+    numbers isolate simulation throughput.  Two measurements:
 
     * ``vector``: one lockstep :class:`~repro.fleet.kernel._VectorBatch`
       pass over all ``FLEET_DEVICES`` baseline-policy devices, *including*
       the scalar rerun of any lane the kernel hands back (tail cutoff or
       anomaly), i.e. exactly the work ``run_shard(kernel="vector")`` does
       after input setup;
-    * ``scalar``: the default per-device engine (fast paths on) over a
-      leading subset, normalized per device;
-    * ``reference``: the engine's pre-optimization reference paths
-      (``fast_paths=False``) over a smaller subset — the original
-      per-device cost before the hot-path PRs.
+    * ``scalar``: the per-device engine over a leading subset,
+      normalized per device.
 
     Vector *and* scalar walls are best-of-``repeats`` (both sides see the
     same machine noise), and the winning vector repeat's per-phase
@@ -151,23 +145,17 @@ def run_fleet_scale_case(
     ride this run's machine — and ``--check`` gates it against
     ``FLEET_SETUP_SPEEDUP``.
     """
-    import dataclasses as _dc
     import tempfile
 
     from repro.experiments.harness import standard_policies
     from repro.experiments.runner import RunSpec, _attempt_spec
     from repro.fleet import kernel
     from repro.fleet.spec import FleetSpec
-    from repro.sim.engine import SimulationEngine
     from repro.trace.store import TraceStore
 
     devices = FLEET_DEVICES if devices is None else devices
     scalar_devices = (
         FLEET_SCALAR_DEVICES if scalar_devices is None else scalar_devices
-    )
-    reference_devices = (
-        FLEET_REFERENCE_DEVICES if reference_devices is None
-        else reference_devices
     )
     spec = FleetSpec(
         name="bench-fleet", devices=devices, seed=3, n_events=50,
@@ -202,21 +190,11 @@ def run_fleet_scale_case(
             raise RuntimeError("store-backed lane build lost lanes")
         del store_lanes, store
 
-    def rerun_scalar(lane, fast_paths=True):
-        config = lane.config
-        run_spec = RunSpec(policy=lane.policy_name, seed=0, config=config)
-        if fast_paths:
-            return _attempt_spec(
-                run_spec, factories[lane.policy_name], lane.trace, lane.schedule, 0
-            )
-        cfg = run_spec.seeded_config()
-        engine = SimulationEngine(
-            app=cfg.build_app(), policy=factories[lane.policy_name](),
-            trace=lane.trace, schedule=lane.schedule, mcu=cfg.mcu,
-            storage=cfg.build_storage(),
-            config=_dc.replace(cfg.build_sim_config(), fast_paths=False),
+    def rerun_scalar(lane):
+        run_spec = RunSpec(policy=lane.policy_name, seed=0, config=lane.config)
+        return _attempt_spec(
+            run_spec, factories[lane.policy_name], lane.trace, lane.schedule, 0
         )
-        return engine.run()
 
     best_vector = None
     best_stats = None
@@ -245,26 +223,17 @@ def run_fleet_scale_case(
         if scalar_s is None or elapsed < scalar_s:
             scalar_s = elapsed
 
-    start = time.perf_counter()
-    for lane in lanes[:reference_devices]:
-        rerun_scalar(lane, fast_paths=False)
-    reference_s = time.perf_counter() - start
-
     vector_ms = 1000 * best_vector / devices
     scalar_ms = 1000 * scalar_s / scalar_devices
-    reference_ms = 1000 * reference_s / reference_devices
     best_stats.lane_build_s = lane_build_s  # informational: outside wall_s
     return {
         "devices": devices,
         "scalar_devices_timed": scalar_devices,
-        "reference_devices_timed": reference_devices,
         "fallback_lanes": best_stats.fallback_lanes,
         "wall_s": round(best_vector, 4),
         "ms_per_device_vector": round(vector_ms, 3),
         "ms_per_device_scalar": round(scalar_ms, 3),
-        "ms_per_device_reference": round(reference_ms, 3),
         "speedup_vs_scalar": round(scalar_ms / vector_ms, 2),
-        "speedup_vs_reference": round(reference_ms / vector_ms, 2),
         "setup": {
             "lane_build_s": round(lane_build_s, 4),
             "store_build_s": round(store_build_s, 4),
@@ -444,7 +413,6 @@ def cmd_record(args) -> int:
         ci = run_fleet_scale_case(
             devices=FLEET_CI_DEVICES,
             scalar_devices=FLEET_CI_SCALAR_DEVICES,
-            reference_devices=FLEET_CI_REFERENCE_DEVICES,
         )
         ci.pop("phases", None)
         fleet["ci_scale"] = ci
@@ -464,8 +432,7 @@ def cmd_record(args) -> int:
             print(
                 f"  {name:24s} {res['wall_s']:8.4f}s  "
                 f"{res['ms_per_device_vector']:>7.3f} ms/dev  "
-                f"{res['speedup_vs_scalar']:.2f}x vs scalar, "
-                f"{res['speedup_vs_reference']:.2f}x vs reference"
+                f"{res['speedup_vs_scalar']:.2f}x vs scalar"
             )
             setup = res.get("setup")
             if setup is not None:

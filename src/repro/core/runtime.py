@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.ibo import IBODecision, IBOEngine
+from repro.core.ibo import IBODecision
 from repro.core.pid import PIDController
 from repro.core.scheduler import EnergyAwareSJF, JobCandidate, Scheduler
 from repro.core.service_time import (
@@ -74,11 +74,11 @@ def _make_ibo(
 class DecisionPathStats:
     """Work counters for :class:`QuetzalRuntime`'s cached decision path.
 
-    All zero whenever the cached path is disabled.  They count
-    implementation work, not simulated behaviour: the engine copies the
-    five it reports (cache hits/misses, scored candidates, degradation
-    walks and walk steps) onto :class:`~repro.sim.metrics.RunMetrics` at
-    the end of a run, the one record of them downstream.
+    They count implementation work, not simulated behaviour: the engine
+    copies the five it reports (cache hits/misses, scored candidates,
+    degradation walks and walk steps) onto
+    :class:`~repro.sim.metrics.RunMetrics` at the end of a run, the one
+    record of them downstream.
 
     ``decisions`` counts Alg. 1 invocations and ``score_table_rebuilds``
     the Eq.-1 score tables recomputed because the estimator state or a
@@ -99,7 +99,7 @@ class DecisionPathStats:
 
 
 class _JobDecisionPlan:
-    """Per-job constants and caches for the fast decision path.
+    """Per-job constants and caches for the decision path.
 
     Built once in :meth:`QuetzalRuntime.prepare`, a plan flattens the
     job-structure lookups Algorithm 2 repeats every decision — the
@@ -206,7 +206,6 @@ class QuetzalRuntime(Policy):
         self.name = name
         self.scheduler = scheduler or EnergyAwareSJF()
         self.estimator = estimator or HardwareServiceTimeEstimator()
-        self.ibo_engine = IBOEngine()
         if pid is _DEFAULT_PID:
             # Paper gains (Table 1) with a filtered derivative and a clamped
             # output: corrections beyond a few seconds would swamp E[S] for
@@ -236,9 +235,8 @@ class QuetzalRuntime(Policy):
         self._cache_token = self.estimator.cache_token
         self._arr_window = None
         self._arr_period = 1.0
-        #: Work counters for the fast decision path (harvested into
-        #: RunMetrics at the end of a run); all-zero whenever the cached
-        #: path is disabled.
+        #: Work counters for the decision path (harvested into RunMetrics
+        #: at the end of a run).
         self.decision_stats = DecisionPathStats()
         #: Trace sink handed over by the engine (SimulationEngine(tracer=...))
         #: so PID corrections land in the same event stream.
@@ -255,7 +253,7 @@ class QuetzalRuntime(Policy):
         self._arrivals = ArrivalRateTracker(self.arrival_window, capture_period_s)
         self._plans = {job.name: _JobDecisionPlan(job) for job in jobs}
         self.decision_stats = DecisionPathStats()
-        # The fast path inlines the stock EASJF argmin (subclasses keep the
+        # select() inlines the stock EASJF argmin (subclasses keep the
         # scorer-callback protocol); estimators with the base no-op observe
         # skip the per-completion feedback loop entirely.
         self._sjf_inline = type(self.scheduler) is EnergyAwareSJF
@@ -275,27 +273,6 @@ class QuetzalRuntime(Policy):
         if self._arrivals is not None:
             self._arr_window = self._arrivals.window
             self._arr_period = self._arrivals.capture_period_s
-        self._refresh_select_binding()
-
-    def _refresh_select_binding(self) -> None:
-        """Point the instance's ``select`` at the active decision path.
-
-        With the cached path on (and the runtime prepared), an instance
-        attribute aliases ``select`` to :meth:`_select_fast`, removing one
-        dispatch frame from every engine->policy call; otherwise the
-        attribute is dropped so lookup falls back to the class's reference
-        implementation.  The alias is a bound method created fresh in every
-        worker (policies are constructed worker-side), so it never crosses
-        a process boundary.
-        """
-        if self.fast_decision_path and self._plans and self._arrivals is not None:
-            self.select = self._select_fast  # type: ignore[method-assign]
-        else:
-            self.__dict__.pop("select", None)
-
-    def configure_decision_path(self, enabled: bool) -> None:
-        super().configure_decision_path(enabled)
-        self._refresh_select_binding()
 
     def attach_tracer(self, tracer) -> None:
         """Receive the engine's :class:`repro.obs.TraceSink` for the run.
@@ -326,16 +303,13 @@ class QuetzalRuntime(Policy):
 
     def on_capture(self, now_s: float, stored: bool) -> None:
         win = self._arr_window
-        if win is None or not self.fast_decision_path:
-            # Readable reference path (and the not-prepared guard).
-            if self._arrivals is None:
-                raise ConfigurationError("QuetzalRuntime used before prepare()")
-            self._arrivals.record_capture(stored)
-            return
-        # record_capture + BitVectorWindow.append replicated inline — this
-        # fires once per capture tick, the single hottest policy hook.
-        # Same state transitions and the same changed-fraction signal
-        # (tests/sim/test_fast_paths.py pins both paths to equality).
+        if win is None:
+            raise ConfigurationError("QuetzalRuntime used before prepare()")
+        # ArrivalRateTracker.record_capture + BitVectorWindow.append
+        # replicated inline — this fires once per capture tick, the single
+        # hottest policy hook.  Same state transitions and the same
+        # changed-fraction signal (the differential tests hold the runtime
+        # to the tracker-based reference in tests/reference_semantics.py).
         bit = bool(stored)
         bits = win._bits
         filled = len(bits)
@@ -356,35 +330,32 @@ class QuetzalRuntime(Policy):
         # Atomically append execution bits for all of the job's tasks
         # (section 5.1's bit-vector update rule).
         probabilities = self._probabilities
-        if not self.fast_decision_path:
-            probabilities.record_job(record.executed_by_task)
-        else:
-            # record_job + BitVectorWindow.append replicated inline (fires
-            # once per completed job); same state transitions and the same
-            # changed-fraction epoch signal.
-            windows = probabilities._windows
-            size = probabilities._window_size
-            for task_name, executed in record.executed_by_task.items():
-                window = windows.get(task_name)
-                if window is None:
-                    window = windows[task_name] = BitVectorWindow(size)
-                bit = bool(executed)
-                bits = window._bits
-                filled = len(bits)
-                if filled == size:
-                    evicted = bits[0]
-                    changed = bit != evicted
-                    if evicted:
-                        window._ones -= 1
-                else:
-                    changed = filled == 0 or window._ones != (
-                        filled if bit else 0
-                    )
-                bits.append(bit)
-                if bit:
-                    window._ones += 1
-                if changed:
-                    probabilities._epoch += 1
+        # ExecutionProbabilityTracker.record_job + BitVectorWindow.append
+        # replicated inline (fires once per completed job); same state
+        # transitions and the same changed-fraction epoch signal.
+        windows = probabilities._windows
+        size = probabilities._window_size
+        for task_name, executed in record.executed_by_task.items():
+            window = windows.get(task_name)
+            if window is None:
+                window = windows[task_name] = BitVectorWindow(size)
+            bit = bool(executed)
+            bits = window._bits
+            filled = len(bits)
+            if filled == size:
+                evicted = bits[0]
+                changed = bit != evicted
+                if evicted:
+                    window._ones -= 1
+            else:
+                changed = filled == 0 or window._ones != (
+                    filled if bit else 0
+                )
+            bits.append(bit)
+            if bit:
+                window._ones += 1
+            if changed:
+                probabilities._epoch += 1
 
         # Feed per-task realised service times to the estimator — skipped
         # outright for estimators that keep the base no-op observe (the
@@ -412,47 +383,44 @@ class QuetzalRuntime(Policy):
                 dt = max(observed, 1e-6)
             else:
                 dt = max(record.finished_s - self._last_completion_s, 1e-6)
-            if not self.fast_decision_path:
-                pid.update(error, dt)
+            # PIDController.update replicated inline (fires once per
+            # completed job): the same guards, clamps, and float
+            # operations in the same order, with the attribute traffic
+            # hoisted — bit-identical by construction, pinned against
+            # PIDController.update by the differential tests.  dt > 0 is
+            # guaranteed by the 1 µs floor above.
+            if not math.isfinite(error):
+                raise ConfigurationError(
+                    f"error must be finite, got {error}"
+                )
+            prev = pid._previous_error
+            integral = pid._integral + 0.5 * pid.ki * dt * (
+                error + (prev if prev is not None else error)
+            )
+            limits = pid.output_limits
+            if limits is not None:
+                low, high = limits
+                integral = min(max(integral, low), high)
+            pid._integral = integral
+            raw_derivative = (
+                0.0 if prev is None else (error - prev) / dt
+            )
+            tau = pid.derivative_tau_s
+            if tau > 0:
+                derivative = pid._derivative
+                derivative += (dt / (tau + dt)) * (
+                    raw_derivative - derivative
+                )
             else:
-                # PIDController.update replicated inline (fires once per
-                # completed job): the same guards, clamps, and float
-                # operations in the same order, with the attribute traffic
-                # hoisted — bit-identical by construction, pinned by
-                # tests/sim/test_fast_paths.py.  dt > 0 is guaranteed by
-                # the 1 µs floor above.
-                if not math.isfinite(error):
-                    raise ConfigurationError(
-                        f"error must be finite, got {error}"
-                    )
-                prev = pid._previous_error
-                integral = pid._integral + 0.5 * pid.ki * dt * (
-                    error + (prev if prev is not None else error)
-                )
-                limits = pid.output_limits
-                if limits is not None:
-                    low, high = limits
-                    integral = min(max(integral, low), high)
-                pid._integral = integral
-                raw_derivative = (
-                    0.0 if prev is None else (error - prev) / dt
-                )
-                tau = pid.derivative_tau_s
-                if tau > 0:
-                    derivative = pid._derivative
-                    derivative += (dt / (tau + dt)) * (
-                        raw_derivative - derivative
-                    )
-                else:
-                    derivative = raw_derivative
-                pid._derivative = derivative
-                output = pid.kp * error + integral + pid.kd * derivative
-                if limits is not None:
-                    output = min(max(output, low), high)
-                pid._previous_error = error
-                if output != pid._output:
-                    pid._epoch += 1
-                pid._output = output
+                derivative = raw_derivative
+            pid._derivative = derivative
+            output = pid.kp * error + integral + pid.kd * derivative
+            if limits is not None:
+                output = min(max(output, low), high)
+            pid._previous_error = error
+            if output != pid._output:
+                pid._epoch += 1
+            pid._output = output
             if self._tracer is not None:
                 from repro.obs.events import TraceEvent
 
@@ -467,84 +435,35 @@ class QuetzalRuntime(Policy):
     # -- the decision procedure -------------------------------------------------------
 
     def select(self, context: SchedulingContext) -> Decision:
-        self._require_jobs()
-        if self._arrivals is None:
-            raise ConfigurationError("QuetzalRuntime used before prepare()")
+        """Alg. 1 + Alg. 2 fused, at constant amortized cost.
 
-        if self.fast_decision_path and self._plans:
-            # Normally unreachable — _refresh_select_binding() points the
-            # instance's ``select`` straight at _select_fast — but kept so
-            # direct calls on an unbound instance still take the fast path.
-            return self._select_fast(context)
+        Each candidate is scored by its *realizable* E[S]: the service time
+        at the degradation option the IBO engine would choose for it.
+        Scoring at nominal quality instead would make SJF permanently defer
+        a job whose degraded form is actually the shortest available work —
+        letting its inputs camp in the buffer.  The simulated invocation
+        cost charges for evaluating every degradation option of every
+        pending job (section 5.1: num_tasks + num_degradation_options),
+        whatever the caches below save in wall time.
 
-        # One input-power measurement per invocation (Alg. 1 line 1).
-        self.estimator.begin_cycle(context.true_input_power_w)
-        correction = self.pid.output if self.pid is not None else 0.0
-        arrival_rate = self._arrivals.rate()
-
-        # Each candidate is scored by its *realizable* E[S]: the service
-        # time at the degradation option the IBO engine would choose for it
-        # (Alg. 1 + Alg. 2 fused).  Scoring at nominal quality instead would
-        # make SJF permanently defer a job whose degraded form is actually
-        # the shortest available work — letting its inputs camp in the
-        # buffer.  This evaluates every degradation option of every pending
-        # job, which is exactly the per-invocation operation count the paper
-        # charges for (section 5.1: num_tasks + num_degradation_options).
-        #
-        # The fast path above reaches bit-identical decisions through
-        # cached Eq.-1 score tables (tests/sim/test_fast_paths.py holds the
-        # two paths to equality); this reference path recomputes everything
-        # via the stateless IBOEngine and is the readable spec of a
-        # decision.
-        ibo_by_job: dict[str, object] = {}
-
-        def ibo_for(candidate: JobCandidate):
-            cached = ibo_by_job.get(candidate.job.name)
-            if cached is None:
-                cached = self.ibo_engine.decide(
-                    candidate.job,
-                    arrival_rate=arrival_rate,
-                    buffer_occupancy=context.buffer_occupancy,
-                    buffer_limit=context.buffer_limit,
-                    service_time_fn=self.estimator.service_time,
-                    probability_fn=self._probabilities.probability,
-                    correction_s=correction,
-                )
-                ibo_by_job[candidate.job.name] = cached
-            return cached
-
-        def scorer(candidate: JobCandidate) -> float:
-            return ibo_for(candidate).predicted_service_s
-
-        selection = self.scheduler.select(context.candidates, scorer)
-        ibo = ibo_for(selection.candidate)
-
-        return Decision(
-            job_name=selection.job.name,
-            entry=selection.entry,
-            chosen_options={selection.job.degradable_task.name: ibo.option},
-            predicted_service_s=ibo.predicted_service_s,
-            ibo_predicted=ibo.ibo_predicted,
-            degraded=ibo.degraded,
-        )
-
-    def _select_fast(self, context: SchedulingContext) -> Decision:
-        """Constant-cost decision: cached score tables + decision memo.
-
-        Bit-identical to the reference path by construction: every float it
-        produces comes from the same operations in the same order (the
-        estimator's ``service_time_vector`` contract, the `non_deg +
-        deg_prob * s + correction` association of ``IBOEngine.decide``, and
-        ``growth >= free`` detection), only their *re*-computation is
-        skipped when the epoch-stamped keys prove the inputs unchanged.
-        ``_refresh_select_binding`` aliases the instance's ``select`` to
-        this method when the cached path is active, so the engine's
-        per-decision call lands here without the dispatch frame.
+        The decision equals the stateless composition of
+        :class:`~repro.core.ibo.IBOEngine`, the trackers and the scheduler
+        (``tests/reference_semantics.py`` spells it out; the differential
+        tests hold the two equal): every float comes from the same
+        operations in the same order (the estimator's
+        ``service_time_vector`` contract, the `non_deg + deg_prob * s +
+        correction` association of ``IBOEngine.decide``, and ``growth >=
+        free`` detection), only their *re*-computation is skipped when the
+        epoch-stamped keys of the per-job score tables and decision memo
+        prove the inputs unchanged.
         """
-        # Preamble: same three quantities as the reference preamble in
-        # ``select`` with the property/method indirections flattened
-        # (``rate()`` is fraction/period; ``output`` reads ``_output``) —
-        # identical floats, fewer frames.
+        win = self._arr_window
+        if win is None:
+            raise ConfigurationError("QuetzalRuntime used before prepare()")
+        # Preamble: one input-power measurement per invocation (Alg. 1
+        # line 1), the PID correction and the arrival rate, with the
+        # property/method indirections flattened (``rate()`` is
+        # fraction/period; ``output`` reads ``_output``).
         if self._est_is_hw:
             # HardwareServiceTimeEstimator.begin_cycle + cache_token
             # replicated inline (exact type checked at prepare() time, so
@@ -561,7 +480,6 @@ class QuetzalRuntime(Policy):
             token = self._cache_token()
         pid = self.pid
         correction = pid._output if pid is not None else 0.0
-        win = self._arr_window
         bits = win._bits
         arrival_rate = (
             (win._ones / len(bits)) if bits else 0.0
@@ -650,10 +568,9 @@ class QuetzalRuntime(Policy):
             )
 
         # Injected scheduler (FCFS/LCFS ablations, custom subclasses): keep
-        # the scorer-callback protocol, with a per-decision memo (the
-        # reference path's ibo_by_job) layered over the per-job
-        # cross-decision memo so hit/miss counters record each
-        # (decision, job) pair exactly once.
+        # the scorer-callback protocol, with a per-decision memo layered
+        # over the per-job cross-decision memo so hit/miss counters record
+        # each (decision, job) pair exactly once.
         local: dict[str, IBODecision] = {}
 
         def ibo_for(job_name: str) -> IBODecision:
@@ -690,6 +607,10 @@ class QuetzalRuntime(Policy):
             ibo.ibo_predicted,
             ibo.degraded,
         )
+
+    #: ``perfbench/tracing.py`` wraps both ``select`` and ``_select_fast``
+    #: from the class ``__dict__``; this alias keeps the second name.
+    _select_fast = select
 
     def _decide_fast(
         self,
@@ -769,7 +690,7 @@ class QuetzalRuntime(Policy):
             non_deg, deg_prob, s_times = row
 
         # Detection (Alg. 2 line 6).  max(0.0, …) also absorbs a NaN from
-        # 0 * inf exactly as the reference's corrected_e_s does.
+        # 0 * inf exactly as IBOEngine's corrected_e_s does.
         e_s = max(0.0, non_deg + deg_prob * s_times[0] + correction)
         if not (arrival_rate * e_s >= free):
             return _make_ibo(plan.options[0], False, True, e_s, False)

@@ -2,8 +2,8 @@
 
 A fleet checkpoint is a directory holding
 
-* ``manifest.json`` — the fleet spec (exact), its fingerprint, and the
-  shard count; and
+* ``manifest.json`` — the fleet spec (exact), its fingerprint, the shard
+  count and the :data:`~repro.sim.engine.MODEL_VERSION` that ran it; and
 * ``shard-NNNNNN.json`` — one journal entry per *completed* shard with
   that shard's exact :class:`~repro.fleet.rollup.FleetRollup` state.
 
@@ -11,10 +11,11 @@ Shard files are written atomically
 (:func:`repro.atomic.atomic_write_json`) as each shard completes, so a
 killed run leaves only whole entries behind and nothing for in-flight
 shards.  On resume, entries that are missing,
-truncated, or from a different spec/shard-count are simply recomputed —
-and because per-device derivation is a pure function of the spec and
-rollup merging is exact, the resumed total is bit-identical to an
-uninterrupted run's.
+truncated, or from a different spec/shard-count/model version are simply
+recomputed — and because per-device derivation is a pure function of the
+spec and rollup merging is exact, the resumed total is bit-identical to an
+uninterrupted run's.  A journal recorded under other simulator semantics
+(a manifest with another model version) is never resumed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.atomic import atomic_write_json
 from repro.errors import ConfigurationError
 from repro.fleet.rollup import FleetRollup
 from repro.fleet.spec import FleetSpec
+from repro.sim import engine
 
 __all__ = ["FleetCheckpoint"]
 
@@ -68,6 +70,7 @@ class FleetCheckpoint:
             manifest is not None
             and manifest.get("fingerprint") == self.fingerprint
             and manifest.get("shards") == self.shards
+            and manifest.get("model_version") == engine.MODEL_VERSION
         )
 
     def initialize(self, resume: bool) -> dict[int, FleetRollup]:
@@ -78,9 +81,9 @@ class FleetCheckpoint:
         by a previous run with a larger shard count, which would
         otherwise linger forever (and resurface if a later run matched
         their count again).  Resumed runs require a manifest for the
-        same spec fingerprint and shard count, then load every intact
-        shard entry (damaged or missing entries are recomputed by the
-        caller).
+        same spec fingerprint, shard count and model version, then load
+        every intact shard entry (damaged or missing entries are
+        recomputed by the caller).
         """
         os.makedirs(self.directory, exist_ok=True)
         if resume:
@@ -99,9 +102,16 @@ class FleetCheckpoint:
                     f"cannot resume: checkpoint has {manifest.get('shards')} "
                     f"shards, this run asked for {self.shards}"
                 )
+            if manifest.get("model_version") != engine.MODEL_VERSION:
+                raise ConfigurationError(
+                    "cannot resume: checkpoint was recorded by model version "
+                    f"{manifest.get('model_version')!r}, this run is "
+                    f"{engine.MODEL_VERSION!r}"
+                )
             return self._load_completed()
         atomic_write_json(self.manifest_path, {
             "version": _VERSION,
+            "model_version": engine.MODEL_VERSION,
             "fingerprint": self.fingerprint,
             "shards": self.shards,
             "devices": self.spec.devices,
@@ -118,6 +128,7 @@ class FleetCheckpoint:
         """Journal one completed shard atomically."""
         atomic_write_json(self.shard_path(shard), {
             "version": _VERSION,
+            "model_version": engine.MODEL_VERSION,
             "fingerprint": self.fingerprint,
             "shard": shard,
             "rollup": rollup.to_dict(),
@@ -132,6 +143,7 @@ class FleetCheckpoint:
             return None
         if (
             data.get("version") != _VERSION
+            or data.get("model_version") != engine.MODEL_VERSION
             or data.get("fingerprint") != self.fingerprint
             or data.get("shard") != shard
         ):

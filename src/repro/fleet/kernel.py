@@ -22,9 +22,10 @@ live-width decay shows the tail has both shrunk below 1/64 of the batch
 and stopped completing, in which case the survivors are handed to the
 scalar engine.
 
-The contract is the same one ``tests/sim/test_fast_paths.py`` pins for the
-scalar engine's fast paths: **bit-identical** :class:`RunMetrics`, not
-approximately equal.  Three facts make that reachable:
+The contract is the same one the differential tests pin between the scalar
+engine and its readable reference semantics
+(``tests/reference_semantics.py``): **bit-identical** :class:`RunMetrics`,
+not approximately equal.  Three facts make that reachable:
 
 * elementwise numpy float64 arithmetic is IEEE-identical to the equivalent
   Python-float expression, so replaying the scalar engine's per-span
@@ -215,7 +216,6 @@ def _policy_kind(factory) -> tuple[int, float | None] | None:
         or cls.on_capture is not base.on_capture
         or cls.on_job_complete is not base.on_job_complete
         or cls.invocation_cost is not base.invocation_cost
-        or cls.configure_decision_path is not base.configure_decision_path
         or hasattr(policy, "decision_stats")
     ):
         return None
@@ -1085,7 +1085,8 @@ class _VectorBatch:
         self._block_top(lanes)
 
     def _block_top(self, lanes) -> None:
-        """_run_block loop head: done / recharge-first / advance."""
+        """Run-block loop head (the engine's per-task loop in
+        ``_execute_job``): done / recharge-first / advance."""
         done = self.blk_rem[lanes] <= TIME_EPSILON
         if done.any():
             self._task_done(lanes[done])
@@ -1230,9 +1231,10 @@ class _VectorBatch:
                 t_depleted = now + margin / net
                 depleting = stop & (t_depleted < boundary - TIME_EPSILON)
                 boundary = np.where(depleting, t_depleted, boundary)
-        # _account_span / Supercapacitor.draw / .harvest, fused.  With
-        # dtz = 0 every update below is an identity (consumed/harvested
-        # add 0, stored clamps to 0, max(energy, 0) == energy), which is
+        # The engine's span update (Supercapacitor.draw / .harvest),
+        # fused.  With dtz = 0 every update below is an identity
+        # (consumed/harvested add 0, stored clamps to 0, max(energy, 0) ==
+        # energy), which is
         # exactly the engine's "skip accounting when dt <= 0" — but the
         # clock still moves to the boundary unconditionally, as it must.
         dt = boundary - now
@@ -1296,7 +1298,7 @@ class _VectorBatch:
         cnt = np.bincount(cont, minlength=4)
         if cnt[_C_TASK]:
             task = lanes[cont == _C_TASK]
-            # _run_block: remaining -= now - start, then maybe a failure.
+            # Run block: remaining -= now - start, then maybe a failure.
             self.blk_rem[task] = self.blk_rem[task] - (
                 self.now[task] - self.blk_start[task]
             )

@@ -180,18 +180,6 @@ class Policy(ABC):
     #: are identical either way.
     needs_task_spans: bool = True
 
-    #: Whether the policy may use its constant-amortized decision path
-    #: (score caches, precomputed plans).  Mirrors
-    #: ``SimulationConfig(fast_paths=...)`` — the engine calls
-    #: :meth:`configure_decision_path` before :meth:`prepare` — and is part
-    #: of the same contract: both settings must produce bit-identical
-    #: results, differing only in work counted by decision-path telemetry.
-    fast_decision_path: bool = True
-
-    def configure_decision_path(self, enabled: bool) -> None:
-        """Enable/disable the cached decision path (engine hook)."""
-        self.fast_decision_path = enabled
-
     def prepare(self, jobs, capture_period_s: float) -> None:
         """One-time setup before a run (profiling phase, tracker sizing).
 

@@ -1,12 +1,14 @@
 """Content-addressed result cache for served fleet rollups.
 
-The cache is keyed on :meth:`FleetSpec.fingerprint` — the sha256 of the
-spec's canonical field JSON — and nothing else, because the determinism
-contract (``tests/fleet/``) guarantees the rollup is bit-identical at
-any ``shards``/``jobs``/kernel setting.  Two submissions that agree on
-the spec therefore agree on the answer, and the second one returns the
+The cache is addressed by :meth:`FleetSpec.fingerprint` — the sha256 of
+the spec's canonical field JSON — because the determinism contract
+(``tests/fleet/``) guarantees the rollup is bit-identical at any
+``shards``/``jobs``/kernel setting.  Two submissions that agree on the
+spec therefore agree on the answer, and the second one returns the
 journaled bytes with zero recompute even if it asked for a different
-shard count or kernel.
+shard count or kernel.  Each entry also records the
+:data:`~repro.sim.engine.MODEL_VERSION` that computed it: an entry from
+other simulator semantics is a miss, recomputed and overwritten.
 
 Entries are single JSON files written atomically (the checkpoint
 journal's :func:`~repro.atomic.atomic_write_json`), storing the
@@ -14,8 +16,8 @@ wire-encoded spec next to the rollup so an entry is self-describing and
 auditable::
 
     <dir>/<fingerprint>.json
-    {"cache_version": 1, "fingerprint": ..., "spec": {...to_wire...},
-     "rollup": {...FleetRollup.to_dict...}}
+    {"cache_version": 1, "model_version": ..., "fingerprint": ...,
+     "spec": {...to_wire...}, "rollup": {...FleetRollup.to_dict...}}
 
 ``canonical_rollup_json`` defines the byte form served to clients:
 ``json.dumps(rollup_dict, sort_keys=True)`` — exactly what the fleet
@@ -31,6 +33,7 @@ import os
 from repro.atomic import atomic_write_json
 from repro.errors import ConfigurationError
 from repro.fleet.spec import FleetSpec
+from repro.sim import engine
 
 __all__ = ["CACHE_VERSION", "ResultCache", "canonical_rollup_json"]
 
@@ -68,8 +71,9 @@ class ResultCache:
     def get(self, fingerprint: str) -> dict | None:
         """The cached rollup dict for ``fingerprint``, or ``None`` (a miss).
 
-        Counts toward ``hits``/``misses``.  Unreadable or foreign-version
-        entries are misses — the caller recomputes and overwrites.
+        Counts toward ``hits``/``misses``.  Unreadable, foreign-version and
+        other-model-version entries are misses — the caller recomputes and
+        overwrites.
         """
         entry = self._load(fingerprint)
         if entry is None:
@@ -94,6 +98,7 @@ class ResultCache:
         if (
             not isinstance(entry, dict)
             or entry.get("cache_version") != CACHE_VERSION
+            or entry.get("model_version") != engine.MODEL_VERSION
             or entry.get("fingerprint") != fingerprint
             or "rollup" not in entry
         ):
@@ -107,6 +112,7 @@ class ResultCache:
         fingerprint = spec.fingerprint()
         entry = {
             "cache_version": CACHE_VERSION,
+            "model_version": engine.MODEL_VERSION,
             "fingerprint": fingerprint,
             "spec": spec.to_wire(),
             "rollup": rollup_dict,

@@ -35,12 +35,21 @@ from repro.core.scheduler import JobCandidate
 from repro.obs.events import TraceEvent
 from repro.policies.base import CompletionRecord, Decision, Policy, SchedulingContext
 from repro.sim.metrics import RunMetrics
-from repro.trace.power_trace import PiecewiseConstantTrace, PowerTrace, TraceCursor
+from repro.trace.power_trace import PiecewiseConstantTrace, TraceCursor
 from repro.units import TIME_EPSILON
 from repro.workload.pipelines import PersonDetectionApp
 from repro.workload.task import TaskCost
 
-__all__ = ["SimulationConfig", "SimulationEngine", "simulate"]
+__all__ = ["MODEL_VERSION", "SimulationConfig", "SimulationEngine", "simulate"]
+
+#: Version of the simulated model's semantics: the first 16 hex digits of
+#: the sha256 over the sorted golden digests committed in tests/sim/data
+#: and tests/fleet/data, joined one per line.  Persisted fleet results
+#: (result-cache entries, checkpoint journals) carry it and are never
+#: reused across a change of it.  Regenerating the goldens after a
+#: semantics change means updating it too (tests/sim/test_model_version.py
+#: recomputes it from the files).
+MODEL_VERSION = "976930cda13e3c66"
 
 _ENERGY_EPS = 1e-12
 
@@ -86,12 +95,6 @@ class SimulationConfig:
         matching the paper's consistent-cost assumption; section 5.2 names
         variable costs as future work — see
         :mod:`repro.workload.variability`).
-    fast_paths:
-        Use the constant-amortized hot paths (monotone trace/event cursors
-        and the fused span-integration loop).  Results are bit-identical to
-        the reference paths (``tests/sim/test_fast_paths.py`` pins this);
-        ``False`` keeps the original stateless implementations and exists
-        for that equivalence test and for debugging.
     """
 
     capture_period_s: float = 1.0
@@ -100,7 +103,6 @@ class SimulationConfig:
     charge_policy_overhead: bool = True
     seed: int = 0
     cost_jitter_sigma: float = 0.0
-    fast_paths: bool = True
 
     def replace(self, **overrides) -> SimulationConfig:
         """A copy with the given fields overridden (keyword-only)."""
@@ -122,7 +124,7 @@ class SimulationEngine:
         self,
         app: PersonDetectionApp,
         policy: Policy,
-        trace: PowerTrace,
+        trace: PiecewiseConstantTrace,
         schedule: EventSchedule,
         mcu: MCUProfile = APOLLO4,
         storage: Supercapacitor | None = None,
@@ -142,8 +144,8 @@ class SimulationEngine:
         #: events (capture/decision/ibo/power_fail/checkpoint/restore/
         #: recharge) — the engine's one observer channel; a
         #: :class:`repro.sim.telemetry.TelemetryRecorder` is one such sink.
-        #: Attaching one routes captures through the readable reference
-        #: body; results stay bit-identical.
+        #: Attaching one routes captures through :meth:`_do_capture` (the
+        #: capture body that emits events); results stay bit-identical.
         self.tracer = tracer
 
         self.buffer = InputBuffer(self.config.buffer_capacity)
@@ -165,24 +167,20 @@ class SimulationEngine:
         self.now = 0.0
         self.hard_end = self.schedule.end_time + self.config.drain_timeout_s
         self._capture_index = 1  # first capture at one full period
-        # Hot-path query objects: stateful monotone cursors when fast paths
-        # are enabled, else the stateless trace/schedule themselves (the
-        # cursor API is a superset, so both modes share one code path
-        # everywhere except the fused _advance_to loop).
-        self._fast = self.config.fast_paths
-        self._tq = trace.cursor() if self._fast else trace
-        self._sq = schedule.cursor() if self._fast else schedule
+        # Hot-path query objects: stateful monotone cursors whose answers
+        # equal the stateless trace/schedule queries.  The engine's inlined
+        # span and recharge loops read TraceCursor internals, so the cursor
+        # is built directly: a trace that is not a PiecewiseConstantTrace
+        # fails here with a TraceError instead of deep inside a run.
+        self._tq = TraceCursor(trace)
+        self._sq = schedule.cursor()
         # The fused recharge loop skips `time_to_harvest` on ticks where the
         # restart level is unreachable; that shortcut needs the guarantee
         # that the trace can always eventually refill the store (periodic
-        # with positive energy per period), otherwise the reference loop's
-        # starvation detection must run verbatim.
-        self._recharge_fast = (
-            self._fast
-            and isinstance(trace, PiecewiseConstantTrace)
-            and isinstance(self._tq, TraceCursor)
-            and trace.period is not None
-            and trace._energy_per_period > 0
+        # with positive energy per period).  Every other trace takes the
+        # general loop, which checks for starvation on every tick.
+        self._recharge_periodic = (
+            trace.period is not None and trace._energy_per_period > 0
         )
         # Differencing-filter draws are consumed in stream order but fetched
         # in chunks (Generator.random(n) yields the identical sequence to n
@@ -207,30 +205,27 @@ class SimulationEngine:
             if type(policy).on_job_complete is not Policy.on_job_complete
             else None
         )
-        try:
-            self._max_trace_power = trace.max_power  # type: ignore[attr-defined]
-        except AttributeError:
-            self._max_trace_power = trace.power(0.0)
-        # Candidate reuse (fast paths): pending_summary() rows change only
-        # when the buffer does, so the JobCandidate built for a row is
-        # reused while its (oldest, newest, count) triple is unchanged.
+        self._max_trace_power = trace.max_power
+        # Candidate reuse: pending_summary() rows change only when the
+        # buffer does, so the JobCandidate built for a row is reused while
+        # its (oldest, newest, count) triple is unchanged.
         self._candidate_cache: dict[str, JobCandidate] = {}
-        # Reused SchedulingContext (fast paths; see _invoke_policy).
+        # Reused SchedulingContext (see _invoke_policy).
         self._ctx: SchedulingContext | None = None
         # Conservative default; run() refines it after policy.prepare(),
         # when the policy knows whether its estimator consumes spans.
         self._want_spans = self._on_complete_hook is not None
         # Last span seen by the fused _advance_to loop: power is constant on
         # a trace segment, and time only moves forward, so `power(self.now)`
-        # equals the cached value while `self.now < _span_until`.  Stays at
-        # the sentinel (never valid) when fast paths are off.
+        # equals the cached value while `self.now < _span_until`.
         self._span_power = 0.0
         self._span_until = -1.0
         self._policy_cost: tuple[float, float, float] | None = None
         # Bound once: _execute_job calls the planner once per job.
         self._app_plan = app.plan
-        # Checkpoint reserve, resolved once for the _run_block loop and its
-        # inlined copies (the checkpoint model is per-run constant).
+        # Checkpoint reserve, resolved once for the two run-block loops in
+        # _invoke_policy and _execute_job (the checkpoint model is per-run
+        # constant).
         self._ckpt_reserve = self.checkpoint.save_energy_j
         self._ckpt_threshold = self._ckpt_reserve + _ENERGY_EPS
         # Known job names as a frozenset: the per-decision validation probe
@@ -238,13 +233,11 @@ class SimulationEngine:
         self._job_names = frozenset(app.jobs._by_name)
         # Loop-invariant _advance_to preamble, packed so the hot path pays
         # one attribute load + tuple unpack instead of a dozen lookups.
-        # The trailing TraceCursor internals feed the inlined span query
-        # (None placeholders when fast paths are off and the tuple is
-        # never read).
+        # The trailing TraceCursor internals feed the inlined span query.
         capacity = self.storage._capacity
         tq = self._tq
         self._adv_consts = (
-            tq.span_at if self._fast else None,
+            tq.span_at,
             self.storage,
             self.metrics,
             capacity,
@@ -253,38 +246,35 @@ class SimulationEngine:
             self.hard_end - TIME_EPSILON,
             self.config.capture_period_s,
             tq,
-            tq._times if self._fast else None,
-            tq._powers if self._fast else None,
-            tq._n if self._fast else 0,
-            tq._period if self._fast else None,
+            tq._times,
+            tq._powers,
+            tq._n,
+            tq._period,
         )
         # Loop-invariant capture-firing state for the inlined capture loops
-        # (_advance_to's boundary firing and _fire_due_captures' fast
+        # (_advance_to's boundary firing and _fire_due_captures' untraced
         # body), including the EventCursor internals so the per-capture
         # event lookup runs without a call frame.  The dicts are the
         # buffer's internals by identity; the buffer only replaces them in
         # clear(), after the last capture of the run.
-        if self._fast:
-            sq = self._sq  # EventCursor (fast paths are on)
-            self._cap_consts = (
-                self.tracer is None,
-                sq,
-                sq._starts,
-                sq._ends,
-                sq._events,
-                sq._n,
-                self._diff_p,
-                self._bg_diff_p,
-                self._on_capture_hook,
-                self.buffer,
-                self.buffer._entries,
-                self.buffer._by_job,
-                self.buffer._stats,
-                self.buffer._capacity,
-                self._entry_job,
-            )
-        else:
-            self._cap_consts = None
+        sq = self._sq
+        self._cap_consts = (
+            self.tracer is None,
+            sq,
+            sq._starts,
+            sq._ends,
+            sq._events,
+            sq._n,
+            self._diff_p,
+            self._bg_diff_p,
+            self._on_capture_hook,
+            self.buffer,
+            self.buffer._entries,
+            self.buffer._by_job,
+            self.buffer._stats,
+            self.buffer._capacity,
+            self._entry_job,
+        )
         self._ran = False
 
     # ------------------------------------------------------------------ run --
@@ -294,11 +284,6 @@ class SimulationEngine:
         if self._ran:
             raise SimulationError("SimulationEngine instances are single-use")
         self._ran = True
-        # The policy's cached decision path mirrors the engine's fast_paths
-        # switch: one knob governs the whole bit-identical-fast contract.
-        configure = getattr(self.policy, "configure_decision_path", None)
-        if configure is not None:
-            configure(self._fast)
         if self.tracer is not None:
             # Policies with internal observable state (the Quetzal PID)
             # emit their own events into the same stream.
@@ -308,8 +293,8 @@ class SimulationEngine:
         self.policy.prepare(self.app.jobs, self.config.capture_period_s)
         # Read after prepare(): policies may only then know whether their
         # estimator consumes realised task spans.  Skipping span timing is
-        # behaviour-preserving on both paths — the spans feed only the
-        # policy's observe loop, which such policies never run.
+        # behaviour-preserving — the spans feed only the policy's observe
+        # loop, which such policies never run.
         self._want_spans = self._on_complete_hook is not None and getattr(
             self.policy, "needs_task_spans", True
         )
@@ -343,19 +328,6 @@ class SimulationEngine:
         if self.now >= self.hard_end - TIME_EPSILON:
             raise _RunEnded
 
-    def _account_span(self, dt: float, p_in_w: float, draw_w: float) -> None:
-        """Apply ``dt`` seconds of harvesting at ``p_in_w`` and draw at ``draw_w``."""
-        if dt <= 0:
-            return
-        self.metrics.energy_consumed_j += draw_w * dt
-        net = draw_w - p_in_w
-        if net >= 0:
-            self.storage.draw(net * dt)
-            self.metrics.energy_harvested_j += p_in_w * dt
-        else:
-            stored = self.storage.harvest(-net * dt)
-            self.metrics.energy_harvested_j += draw_w * dt + stored
-
     def _fire_due_captures(self) -> None:
         cap_period = self.config.capture_period_s
         limit = self.now + TIME_EPSILON
@@ -363,7 +335,7 @@ class SimulationEngine:
         t = idx * cap_period
         if t > limit:
             return
-        if not self._fast or self.tracer is not None:
+        if self.tracer is not None:
             while t <= limit:
                 self._do_capture(t)
                 idx = self._capture_index = idx + 1
@@ -371,12 +343,12 @@ class SimulationEngine:
             return
         # _do_capture + InputBuffer.try_insert inlined with the
         # loop-invariant state hoisted — captures are the highest-frequency
-        # event in a run (~3x decisions), and each reference call re-loads
+        # event in a run (~3x decisions), and each _do_capture call re-loads
         # a dozen attributes.  Same draws from the same RNG stream, same
         # metric increments (captures_total is batched: integer adds
         # commute and nothing reads it mid-loop), same insert state
         # transitions; the traced path above keeps the readable
-        # reference body.
+        # _do_capture body, the only one that emits events.
         metrics = self.metrics
         (
             _,
@@ -481,16 +453,15 @@ class SimulationEngine:
         returns True (depleted).  Returns False when ``target_s`` was
         reached.  Raises :class:`_RunEnded` at the hard end.
         """
-        if not self._fast:
-            return self._advance_to_reference(target_s, draw_w, stop_energy_j)
         # Fused multi-segment step: one flat loop walks every trace boundary
         # up to the target with a single cursor query per span and the span
         # accounting — including the storage draw/harvest arithmetic —
-        # inlined.  Every float operation below reproduces
-        # _advance_to_reference / _account_span / Supercapacitor.draw /
-        # Supercapacitor.harvest in the same order, so the results are
-        # bit-identical; the two energy metrics fold through locals in the
-        # same left-to-right order and are flushed before any call-out.
+        # inlined.  Every float operation below reproduces the readable
+        # span-by-span loop (``tests/reference_semantics.py``, over
+        # Supercapacitor.draw / Supercapacitor.harvest) in the same order,
+        # so the results are bit-identical; the two energy metrics fold
+        # through locals in the same left-to-right order and are flushed
+        # before any call-out.
         now = self.now
         target_eps = target_s - TIME_EPSILON
         if now >= target_eps:
@@ -656,7 +627,7 @@ class SimulationEngine:
                     entry_job,
                 ) = self._cap_consts
                 if cap_inline:
-                    # _fire_due_captures' fast body inlined at its hottest
+                    # _fire_due_captures' untraced body inlined at its hottest
                     # call site: a boundary crossing almost always fires
                     # exactly one capture, so the function's per-call
                     # prologue dominated.  Same draws from the same RNG
@@ -760,49 +731,19 @@ class SimulationEngine:
         metrics.energy_harvested_j = e_harvested
         return False
 
-    def _advance_to_reference(
-        self, target_s: float, draw_w: float, stop_energy_j: float | None = None
-    ) -> bool:
-        """Pre-optimization `_advance_to`, kept verbatim as the reference
-        implementation that the fused fast loop is pinned against."""
-        while self.now < target_s - TIME_EPSILON:
-            self._check_hard_end()
-            boundary = min(
-                target_s,
-                self._next_capture_time(),
-                self.trace.next_boundary(self.now),
-                self.hard_end,
-            )
-            p_in = self.trace.power(self.now)
-            net = draw_w - p_in
-            if stop_energy_j is not None and net > 0:
-                margin = self.storage.energy_j - stop_energy_j
-                if margin <= _ENERGY_EPS:
-                    return True
-                t_depleted = self.now + margin / net
-                if t_depleted < boundary - TIME_EPSILON:
-                    self._account_span(t_depleted - self.now, p_in, draw_w)
-                    self.now = t_depleted
-                    self._fire_due_captures()
-                    return True
-            self._account_span(boundary - self.now, p_in, draw_w)
-            self.now = boundary
-            self._fire_due_captures()
-        return False
-
     def _recharge_to_restart(self) -> None:
         """Dead device: harvest (drawing nothing) until the restart level."""
-        if not self._recharge_fast:
-            return self._recharge_to_restart_reference()
-        # Fused recharge loop.  Two observations beat down the reference's
-        # per-tick cost:
+        if not self._recharge_periodic:
+            return self._recharge_to_restart_general()
+        # Fused recharge loop.  Two observations beat down the general
+        # loop's per-tick cost:
         #
         # * `time_to_harvest`'s result only matters on the tick where the
         #   recharge actually completes — on every earlier tick the boundary
         #   clamps to the next capture time regardless of the wait.  So
         #   integrate up to the tick first (that value is the harvest to
         #   book anyway) and only fall back to `time_to_harvest` — and the
-        #   reference's exact boundary arithmetic — when the deficit is
+        #   general loop's exact boundary arithmetic — when the deficit is
         #   reachable within the tick.
         # * consecutive ticks share an integration endpoint: this tick's cap
         #   is the next tick's `now`, so its fold and cumulative-energy
@@ -811,9 +752,9 @@ class SimulationEngine:
         #   `Supercapacitor.harvest` / `deficit_to_restart_j` and the
         #   cursor's `integrate` float-for-float, in the same order.
         #
-        # Guarded by `_recharge_fast`: the trace is a periodic TraceCursor
-        # with positive energy per period, so starvation (the isinf branch
-        # of the reference loop) is impossible here.
+        # Guarded by `_recharge_periodic`: the trace is periodic with
+        # positive energy per period, so starvation (the isinf branch of
+        # the general loop) is impossible here.
         start = now = self.now
         storage = self.storage
         metrics = self.metrics
@@ -857,7 +798,7 @@ class SimulationEngine:
                 harvested = e_cap
                 cache_t, cache_k, cache_e = cap, k1, e1
             else:
-                # Completes within this tick: reproduce the reference
+                # Completes within this tick: reproduce the general loop's
                 # boundary computation exactly.
                 wait = tq.time_to_harvest(now, deficit)
                 boundary = now + wait
@@ -891,8 +832,16 @@ class SimulationEngine:
         if self.tracer is not None and now > start:
             self.tracer.emit(TraceEvent(start, "recharge", dur=now - start))
 
-    def _recharge_to_restart_reference(self) -> None:
-        """Pre-optimization recharge loop (see `_recharge_to_restart`)."""
+    def _recharge_to_restart_general(self) -> None:
+        """Recharge loop for any trace: one `time_to_harvest` per tick.
+
+        The only path for traces that are not periodic with positive energy
+        per period (a finite ``period=None`` recording, or a trace that
+        harvests nothing): there the store may never refill, so every tick
+        asks the trace how long the deficit takes and starves the device to
+        the end of the run when the answer is infinite.  It is also the
+        readable statement of what the fused periodic loop above computes.
+        """
         start = self.now
         while True:
             deficit = self.storage.deficit_to_restart_j()
@@ -913,27 +862,6 @@ class SimulationEngine:
         self.metrics.recharge_time_s += self.now - start
         if self.tracer is not None and self.now > start:
             self.tracer.emit(TraceEvent(start, "recharge", dur=self.now - start))
-
-    def _run_block(self, duration_s: float, power_w: float) -> None:
-        """Run a compute block intermittently, checkpointing across failures.
-
-        The body is inlined verbatim at the two hottest call sites
-        (_invoke_policy's invocation-cost charge and _execute_job's task
-        loop); keep all three in sync.
-        """
-        remaining = duration_s
-        reserve = self._ckpt_reserve
-        threshold = self._ckpt_threshold
-        storage = self.storage
-        while remaining > TIME_EPSILON:
-            if storage._energy <= threshold:
-                # Not enough headroom to make progress: recharge first.
-                self._recharge_to_restart()
-            start = self.now
-            depleted = self._advance_to(self.now + remaining, power_w, stop_energy_j=reserve)
-            remaining -= self.now - start
-            if depleted and remaining > TIME_EPSILON:
-                self._power_failure()
 
     def _power_failure(self) -> None:
         """JIT checkpoint: save, die, recharge, restore."""
@@ -1073,102 +1001,81 @@ class SimulationEngine:
 
     # ----------------------------------------------------------------- policy --
 
-    def _build_candidates(self) -> list[JobCandidate]:
-        # Reference path only; the fast path builds its candidates inline
-        # in _invoke_policy.
-        job_of = self.app.jobs.job
-        candidates = []
-        for job_name, oldest, newest, count in self.buffer.pending_summary():
-            candidate = _OBJ_NEW(JobCandidate)
-            d = candidate.__dict__
-            d["job"] = job_of(job_name)
-            d["oldest"] = oldest
-            d["newest"] = newest
-            d["pending_count"] = count
-            candidates.append(candidate)
-        return candidates
-
     def _invoke_policy(self) -> Decision:
         buffer = self.buffer
-        if self._fast:
-            # One context object per run, re-populated per decision: the
-            # SchedulingContext contract says it is only valid for the
-            # duration of select() (policies must copy what they keep), so
-            # reuse is invisible to a conforming policy and saves an
-            # allocation on every decision.
-            context = self._ctx
-            if context is None:
-                context = self._ctx = _OBJ_NEW(SchedulingContext)
-            # Incremental candidate state, inlined (one policy invocation
-            # per executed job makes this the hottest buffer read).
-            # Between decisions the buffer usually changes by one entry
-            # (the processed input leaves, a few captures arrive), so most
-            # per-job stats rows are unchanged and their frozen
-            # JobCandidate can be reused as-is.  Field-for-field the
-            # reused object is what a rebuild would produce (identity on
-            # oldest/newest, equal count), so both paths hand the policy
-            # equal candidates; pending_summary()'s per-job (oldest,
-            # newest, min_seq) stats and oldest-first order are preserved.
-            by_job = buffer._by_job
-            stats_map = buffer._stats
-            stats = buffer._job_stats
-            n_jobs = len(by_job)
-            if n_jobs == 2:
-                # The overwhelmingly common non-trivial shape (detect +
-                # transmit pending): order the pair by min_seq directly —
-                # seqs are unique, so the `>` swap reproduces sorted()'s
-                # oldest-first order — and keep the fetched stats rows for
-                # the candidate loop below.
-                it = iter(by_job)
-                job_a = next(it)
-                job_b = next(it)
+        # One context object per run, re-populated per decision: the
+        # SchedulingContext contract says it is only valid for the
+        # duration of select() (policies must copy what they keep), so
+        # reuse is invisible to a conforming policy and saves an
+        # allocation on every decision.
+        context = self._ctx
+        if context is None:
+            context = self._ctx = _OBJ_NEW(SchedulingContext)
+        # Incremental candidate state, inlined (one policy invocation per
+        # executed job makes this the hottest buffer read).  Between
+        # decisions the buffer usually changes by one entry (the processed
+        # input leaves, a few captures arrive), so most per-job stats rows
+        # are unchanged and their frozen JobCandidate can be reused as-is.
+        # Field-for-field the reused object is what a rebuild from
+        # pending_summary() would produce (identity on oldest/newest, equal
+        # count), in the same oldest-first order.
+        by_job = buffer._by_job
+        stats_map = buffer._stats
+        stats = buffer._job_stats
+        n_jobs = len(by_job)
+        if n_jobs == 2:
+            # The overwhelmingly common non-trivial shape (detect +
+            # transmit pending): order the pair by min_seq directly —
+            # seqs are unique, so the `>` swap reproduces sorted()'s
+            # oldest-first order — and keep the fetched stats rows for
+            # the candidate loop below.
+            it = iter(by_job)
+            job_a = next(it)
+            job_b = next(it)
+            row_a = stats_map.get(job_a)
+            if row_a is None:
+                row_a = stats(job_a)
+            row_b = stats_map.get(job_b)
+            if row_b is None:
+                row_b = stats(job_b)
+            if row_a[2] > row_b[2]:
+                ordered = ((job_b, row_b), (job_a, row_a))
+            else:
+                ordered = ((job_a, row_a), (job_b, row_b))
+        elif n_jobs == 1:
+            for job_a in by_job:
                 row_a = stats_map.get(job_a)
                 if row_a is None:
                     row_a = stats(job_a)
-                row_b = stats_map.get(job_b)
-                if row_b is None:
-                    row_b = stats(job_b)
-                if row_a[2] > row_b[2]:
-                    ordered = ((job_b, row_b), (job_a, row_a))
-                else:
-                    ordered = ((job_a, row_a), (job_b, row_b))
-            elif n_jobs == 1:
-                for job_a in by_job:
-                    row_a = stats_map.get(job_a)
-                    if row_a is None:
-                        row_a = stats(job_a)
-                ordered = ((job_a, row_a),)
-            else:
-                names = sorted(
-                    by_job,
-                    key=lambda job: (stats_map.get(job) or stats(job))[2],
-                )
-                ordered = tuple(
-                    (job, stats_map.get(job) or stats(job)) for job in names
-                )
-            cache = self._candidate_cache
-            candidates = []
-            for job_name, row in ordered:
-                oldest, newest, _ = row
-                count = len(by_job[job_name])
-                candidate = cache.get(job_name)
-                if (
-                    candidate is None
-                    or candidate.oldest is not oldest
-                    or candidate.newest is not newest
-                    or candidate.pending_count != count
-                ):
-                    candidate = _OBJ_NEW(JobCandidate)
-                    cd = candidate.__dict__
-                    cd["job"] = self.app.jobs.job(job_name)
-                    cd["oldest"] = oldest
-                    cd["newest"] = newest
-                    cd["pending_count"] = count
-                    cache[job_name] = candidate
-                candidates.append(candidate)
+            ordered = ((job_a, row_a),)
         else:
-            context = _OBJ_NEW(SchedulingContext)
-            candidates = self._build_candidates()
+            names = sorted(
+                by_job,
+                key=lambda job: (stats_map.get(job) or stats(job))[2],
+            )
+            ordered = tuple(
+                (job, stats_map.get(job) or stats(job)) for job in names
+            )
+        cache = self._candidate_cache
+        candidates = []
+        for job_name, row in ordered:
+            oldest, newest, _ = row
+            count = len(by_job[job_name])
+            candidate = cache.get(job_name)
+            if (
+                candidate is None
+                or candidate.oldest is not oldest
+                or candidate.newest is not newest
+                or candidate.pending_count != count
+            ):
+                candidate = _OBJ_NEW(JobCandidate)
+                cd = candidate.__dict__
+                cd["job"] = self.app.jobs.job(job_name)
+                cd["oldest"] = oldest
+                cd["newest"] = newest
+                cd["pending_count"] = count
+                cache[job_name] = candidate
+            candidates.append(candidate)
         d = context.__dict__
         now = self.now
         d["now_s"] = now
@@ -1211,42 +1118,37 @@ class SimulationEngine:
         if decision.ibo_predicted:
             metrics.ibo_predictions += 1
         if self._charge_overhead:
-            if self._fast:
-                # The policy's invocation cost is constant across a run
-                # (it depends only on the prepared job set), so the cost
-                # pair and its power quotient are resolved once.
-                cost = self._policy_cost
-                if cost is None:
-                    time_s, energy_j = self.policy.invocation_cost(self.mcu)
-                    cost = self._policy_cost = (
-                        time_s,
-                        energy_j,
-                        energy_j / time_s if time_s > 0 else 0.0,
-                    )
-                time_s, energy_j, power_w = cost
-                if time_s > 0:
-                    metrics.policy_time_s += time_s
-                    metrics.policy_energy_j += energy_j
-                    # _run_block inlined (identical loop; once per decision).
-                    remaining = time_s
-                    reserve = self._ckpt_reserve
-                    storage = self.storage
-                    while remaining > TIME_EPSILON:
-                        if storage._energy <= self._ckpt_threshold:
-                            self._recharge_to_restart()
-                        start = self.now
-                        depleted = self._advance_to(
-                            start + remaining, power_w, stop_energy_j=reserve
-                        )
-                        remaining -= self.now - start
-                        if depleted and remaining > TIME_EPSILON:
-                            self._power_failure()
-            else:
+            # The policy's invocation cost is constant across a run
+            # (it depends only on the prepared job set), so the cost
+            # pair and its power quotient are resolved once.
+            cost = self._policy_cost
+            if cost is None:
                 time_s, energy_j = self.policy.invocation_cost(self.mcu)
-                if time_s > 0:
-                    metrics.policy_time_s += time_s
-                    metrics.policy_energy_j += energy_j
-                    self._run_block(time_s, energy_j / time_s)
+                cost = self._policy_cost = (
+                    time_s,
+                    energy_j,
+                    energy_j / time_s if time_s > 0 else 0.0,
+                )
+            time_s, energy_j, power_w = cost
+            if time_s > 0:
+                metrics.policy_time_s += time_s
+                metrics.policy_energy_j += energy_j
+                # Run-block loop (the same one _execute_job runs per task):
+                # recharge first when the store sits at the checkpoint
+                # reserve, advance, and take a power failure on depletion.
+                remaining = time_s
+                reserve = self._ckpt_reserve
+                storage = self.storage
+                while remaining > TIME_EPSILON:
+                    if storage._energy <= self._ckpt_threshold:
+                        self._recharge_to_restart()
+                    start = self.now
+                    depleted = self._advance_to(
+                        start + remaining, power_w, stop_energy_j=reserve
+                    )
+                    remaining -= self.now - start
+                    if depleted and remaining > TIME_EPSILON:
+                        self._power_failure()
         return decision
 
     def _validate_decision(self, decision: Decision) -> None:
@@ -1285,7 +1187,7 @@ class SimulationEngine:
                 if jitter is not None:
                     cost = jitter.jittered(cost)
                 t0 = self.now
-                # _run_block inlined (identical loop; 1-2 tasks per job).
+                # Run-block loop (see _invoke_policy; 1-2 tasks per job).
                 remaining = cost.t_exe_s
                 power_w = cost.p_exe_w
                 while remaining > TIME_EPSILON:
@@ -1307,22 +1209,19 @@ class SimulationEngine:
 
         outcome = plan.outcome
         if outcome.remove_input:
-            if self._fast:
-                # InputBuffer.remove inlined, minus its membership guard:
-                # the decision was validated against the buffer and task
-                # execution only *inserts* captures, so the entry is still
-                # present by construction.
-                buffer = self.buffer
-                del buffer._entries[entry.input_id]
-                job_name = entry._job_name
-                pending = buffer._by_job[job_name]
-                del pending[entry.input_id]
-                if not pending:
-                    del buffer._by_job[job_name]
-                buffer._stats.pop(job_name, None)
-                entry._buffer = None
-            else:
-                self.buffer.remove(entry)
+            # InputBuffer.remove inlined, minus its membership guard:
+            # the decision was validated against the buffer and task
+            # execution only *inserts* captures, so the entry is still
+            # present by construction.
+            buffer = self.buffer
+            del buffer._entries[entry.input_id]
+            job_name = entry._job_name
+            pending = buffer._by_job[job_name]
+            del pending[entry.input_id]
+            if not pending:
+                del buffer._by_job[job_name]
+            buffer._stats.pop(job_name, None)
+            entry._buffer = None
         elif outcome.respawn_job is not None:
             # Job spawning (paper section 5.2): the input stays buffered in
             # place, re-indexed under the follow-on job.
@@ -1393,7 +1292,8 @@ class SimulationEngine:
         # Decision-path work counters (policies without a cached decision
         # path leave the RunMetrics fields at their zero defaults).  These
         # describe implementation effort and are excluded from the
-        # fast-vs-reference bit-identical contract.
+        # comparison against the readable reference semantics
+        # (``tests/reference_semantics.py``).
         stats = getattr(self.policy, "decision_stats", None)
         if stats is not None:
             self.metrics.decision_cache_hits = stats.cache_hits
@@ -1406,7 +1306,7 @@ class SimulationEngine:
 def simulate(
     app: PersonDetectionApp,
     policy: Policy,
-    trace: PowerTrace,
+    trace: PiecewiseConstantTrace,
     schedule: EventSchedule,
     mcu: MCUProfile = APOLLO4,
     storage: Supercapacitor | None = None,

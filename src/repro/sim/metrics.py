@@ -90,10 +90,10 @@ class RunMetrics:
     # repro.core.runtime.DecisionPathStats); this is their one record
     # downstream of the policy.  These measure implementation
     # effort, not simulated behaviour: they are the one part of RunMetrics
-    # deliberately EXCLUDED from the fast-vs-reference bit-identical
-    # contract (tests/sim/test_fast_paths.py strips them), and they stay
-    # zero whenever the cached path is disabled (fast_paths=False) or the
-    # policy has no decision cache.
+    # deliberately EXCLUDED from the bit-identical comparison against the
+    # readable reference semantics (tests/reference_semantics.py; the
+    # differential tests strip them), and they stay zero for a policy
+    # without a decision cache.
     decision_cache_hits: int = 0
     decision_cache_misses: int = 0
     decision_scored_candidates: int = 0

@@ -88,18 +88,6 @@ class PowerTrace:
         """
         return self.power(t), self.next_boundary(t)
 
-    def cursor(self) -> "PowerTrace":
-        """A stateful accessor optimized for monotone time queries.
-
-        The default implementation returns the trace itself (stateless
-        queries are always valid); :class:`PiecewiseConstantTrace` returns a
-        :class:`TraceCursor`.  Callers may rely on the returned object
-        exposing ``power``/``integrate``/``next_boundary``/
-        ``time_to_harvest``/``span_at`` with results identical to the
-        trace's own.
-        """
-        return self
-
 
 class PiecewiseConstantTrace(PowerTrace):
     """A trace defined by segment start times and power levels.

@@ -5,10 +5,11 @@ import pytest
 from repro.core.runtime import QuetzalRuntime
 from repro.device.buffer import BufferedInput
 from repro.env.events import Event, EventSchedule
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, TraceError
 from repro.policies.base import Decision, Policy, SchedulingContext
 from repro.policies.noadapt import NoAdaptPolicy
 from repro.sim.engine import SimulationConfig, SimulationEngine, simulate
+from repro.trace.power_trace import PowerTrace
 from repro.workload.pipelines import build_apollo_app
 
 
@@ -156,3 +157,29 @@ class TestSpawnLifecycle:
         )
         assert "detect" in seen_jobs
         assert "transmit" in seen_jobs
+
+
+class _ConstantPowerTrace(PowerTrace):
+    """A complete stateless ``PowerTrace`` that is not piecewise-constant."""
+
+    def power(self, t):
+        return 0.05
+
+    def integrate(self, t0, t1):
+        return 0.05 * (t1 - t0)
+
+    def next_boundary(self, t):
+        return float("inf")
+
+    def time_to_harvest(self, t0, energy):
+        return energy / 0.05
+
+
+class TestUnsupportedTrace:
+    def test_non_piecewise_trace_is_a_trace_error(self, apollo_app):
+        """The engine's loops read TraceCursor internals, so any other
+        trace type is rejected at construction with a typed error."""
+        with pytest.raises(TraceError, match="PiecewiseConstantTrace"):
+            SimulationEngine(
+                apollo_app, NoAdaptPolicy(), _ConstantPowerTrace(), one_event()
+            )
